@@ -7,14 +7,16 @@
 #                      the --profile run re-reported with profile off);
 #  2. sweep timeline - --timeline writes valid Chrome trace-event JSON with
 #                      the sweep/sink/journal/sim span categories;
-#  3. PDES timeline  - a lax parallel run adds the par category
-#                      (window/flush spans), still valid JSON;
-#  4. profile        - --profile adds a hist section with p50/p95/p99 for
+#  3. sim timeline   - allarm_sim --timeline writes valid JSON with the sim
+#                      category;
+#  4. sim flags      - allarm_sim rejects an unknown --mode or --policy
+#                      with exit 2 instead of running something else;
+#  5. profile        - --profile adds a hist section with p50/p95/p99 for
 #                      every latency metric, in both the CLI report and a
 #                      service report requesting "profile": true;
-#  5. service        - a service batch run with --timeline emits service
+#  6. service        - a service batch run with --timeline emits service
 #                      spans and writes parseable health.json/metrics.prom;
-#  6. failpoints     - obs.timeline and service.metrics faults degrade
+#  7. failpoints     - obs.timeline and service.metrics faults degrade
 #                      loudly (logged) without corrupting the run's results.
 #
 # Usage: scripts/ci_obs_smoke.sh [path-to-sweep] [path-to-allarm_serve] \
@@ -46,7 +48,7 @@ print(f"OK: {path}: {len(spans)} spans, categories {sorted(cats)}")
 EOF
 }
 
-echo "== 1/6 default report bytes are unchanged by instrumentation =="
+echo "== 1/7 default report bytes are unchanged by instrumentation =="
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 \
     --out "$WORK/ref.json" --csv "$WORK/ref.csv"
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 \
@@ -63,24 +65,30 @@ cmp "$WORK/ref.csv" "$WORK/instr.csv"
 cmp "$WORK/ref.json" "$WORK/prof-replay.json"
 echo "OK: default reports byte-identical with instrumentation on"
 
-echo "== 2/6 sweep timeline is valid Chrome trace JSON =="
+echo "== 2/7 sweep timeline is valid Chrome trace JSON =="
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 \
     --journal "$WORK/tl.journal" --out "$WORK/tl.json" \
     --timeline "$WORK/sweep-timeline.json"
 check_timeline "$WORK/sweep-timeline.json" sweep sink journal sim
 echo "OK: sweep timeline validated"
 
-echo "== 3/6 PDES (lax) run adds the par category =="
-"$SIM" --benchmark ocean-cont --accesses 2000 --mode allarm \
-    --par-shards 2 --par-mode lax --timeline "$WORK/pdes-timeline.json" \
-    > /dev/null
-# Only the par category is asserted: a lax run emits a window span per
-# barrier, which (by design) can overflow the first-N-kept ring before the
-# enclosing sim.run span closes.
-check_timeline "$WORK/pdes-timeline.json" par
-echo "OK: PDES timeline validated"
+echo "== 3/7 allarm_sim timeline is valid Chrome trace JSON =="
+"$SIM" --benchmark ocean-cont --accesses 2000 \
+    --timeline "$WORK/sim-timeline.json" > /dev/null
+check_timeline "$WORK/sim-timeline.json" sim
+echo "OK: allarm_sim timeline validated"
 
-echo "== 4/6 --profile exports hist.* quantiles =="
+echo "== 4/7 allarm_sim rejects unknown --mode/--policy values =="
+for bad in "--mode alarm" "--policy interleaved"; do
+    RC=0
+    # Word splitting is intended: each entry is one flag and its value.
+    # shellcheck disable=SC2086
+    "$SIM" --accesses 100 $bad > /dev/null 2>&1 || RC=$?
+    [ "$RC" -eq 2 ] || { echo "FAIL: allarm_sim $bad exited $RC, want 2"; exit 1; }
+done
+echo "OK: bad flag values exit 2"
+
+echo "== 5/7 --profile exports hist.* quantiles =="
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 --profile \
     --out "$WORK/hist.json"
 python3 - "$WORK/hist.json" <<'EOF'
@@ -96,7 +104,7 @@ print(f"OK: hist sections on {len(doc['cells'])} cells")
 EOF
 echo "OK: profile quantiles exported"
 
-echo "== 5/6 service batch with --timeline, health + metrics parse =="
+echo "== 6/7 service batch with --timeline, health + metrics parse =="
 SPOOL="$WORK/spool"
 printf '{"grid": "quick", "seeds": 2, "accesses": 400, "profile": true}' \
     > "$WORK/req.json"
@@ -129,7 +137,7 @@ grep -q '"hist"' "$report" \
     || { echo "FAIL: service report missing hist section"; exit 1; }
 echo "OK: service observability validated"
 
-echo "== 6/6 observability write faults degrade loudly, results intact =="
+echo "== 7/7 observability write faults degrade loudly, results intact =="
 RC=0
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 \
     --out "$WORK/fault.json" --timeline "$WORK/fault-timeline.json" \

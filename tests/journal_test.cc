@@ -15,6 +15,7 @@
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
 #include "core/experiment.hh"
+#include "runner/grids.hh"
 #include "runner/journal.hh"
 #include "runner/report.hh"
 #include "runner/sink.hh"
@@ -556,6 +557,25 @@ TEST(SpecHash, SensitiveToEverythingThatChangesResults) {
   EXPECT_NE(runner::spec_hash(changed), base);
 
   EXPECT_EQ(runner::spec_hash(spec), base);  // And stable.
+}
+
+TEST(SpecHash, BuiltinGridIdentityIsPinnedAcrossVersions) {
+  // Literal values, not comparisons within one binary: a journal written
+  // by an older build resumes only while these hold.  A change here is a
+  // deliberate journal-compatibility break.
+  runner::GridKnobs knobs;
+  knobs.seeds = 2;
+  knobs.base_seed = 42;
+  knobs.accesses = 500;
+  const runner::SweepSpec spec = runner::make_builtin_grid("quick", knobs);
+  EXPECT_EQ(runner::spec_hash(spec), 0x136c1aafe524a9beull);
+  const std::vector<std::uint64_t> cells = {
+      0x8cd1bdcffa39b8faull, 0x3e775a1dfe5fdf26ull, 0x69e74d848f9df90cull,
+      0x4168e7c0106c3588ull};
+  ASSERT_EQ(spec.cell_count(), cells.size());
+  for (std::uint64_t cell = 0; cell < cells.size(); ++cell) {
+    EXPECT_EQ(runner::cell_hash(spec, cell), cells[cell]) << "cell " << cell;
+  }
 }
 
 // ------------------------------------------------------------- sharding ----

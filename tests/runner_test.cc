@@ -119,10 +119,9 @@ TEST(ThreadPool, KeepsOnlyTheFirstOfManyErrors) {
 }
 
 TEST(ThreadPool, NestedPoolsDrainIndependently) {
-  // The shard+sweep contention shape: sweep-pool workers each drive their
-  // own flush pool (parallel::run_lax does exactly this with
-  // RunOptions::par_pool).  Waiting on the inner pool from an outer worker
-  // must not deadlock, and every subtask must run.
+  // Sweep-pool workers each driving a pool of their own: waiting on the
+  // inner pool from an outer worker must not deadlock, and every subtask
+  // must run.
   runner::ThreadPool outer(2);
   std::atomic<int> subtasks{0};
   for (int job = 0; job < 4; ++job) {
@@ -137,10 +136,9 @@ TEST(ThreadPool, NestedPoolsDrainIndependently) {
 }
 
 TEST(ThreadPool, SharedInnerPoolUnderOuterContention) {
-  // Several outer workers submitting to ONE shared inner pool (the budget
-  // split makes this jobs x shards <= --jobs): counts must come out exact
-  // and wait_idle on the outer pool must observe all inner completions
-  // that its own tasks waited for.
+  // Several outer workers submitting to ONE shared inner pool: counts must
+  // come out exact and wait_idle on the outer pool must observe all inner
+  // completions that its own tasks waited for.
   runner::ThreadPool outer(3);
   runner::ThreadPool shared_inner(2);
   std::atomic<int> done{0};
@@ -158,19 +156,18 @@ TEST(ThreadPool, SharedInnerPoolUnderOuterContention) {
 
 TEST(ThreadPool, NestedExceptionPropagatesThroughBothPools) {
   // An inner-pool failure surfaces at the inner wait_idle (inside the outer
-  // task), leaks from that task, and resurfaces at the OUTER wait_idle —
-  // the path a lax flush error would take through a sweep job.
+  // task), leaks from that task, and resurfaces at the OUTER wait_idle.
   runner::ThreadPool outer(2);
   outer.submit([] {
     runner::ThreadPool inner(2);
-    inner.submit([] { throw std::runtime_error("flush failed"); });
+    inner.submit([] { throw std::runtime_error("inner task failed"); });
     inner.wait_idle();  // Rethrows; escapes this outer task.
   });
   try {
     outer.wait_idle();
     FAIL() << "nested exception was not rethrown";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "flush failed");
+    EXPECT_STREQ(e.what(), "inner task failed");
   }
 }
 
