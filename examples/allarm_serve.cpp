@@ -33,6 +33,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli.hh"
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
 #include "obs/timeline.hh"
@@ -40,6 +41,8 @@
 #include "service/spool.hh"
 
 namespace {
+
+using allarm::cli::parse_u64;
 
 // Signal handlers may only touch lock-free atomics; the service loop polls
 // this between (never inside) I/O steps.
@@ -53,18 +56,6 @@ void usage(std::ostream& out) {
          "                    [--exit-when-idle] [--failpoints SPEC]\n"
          "                    [--timeline FILE]\n"
          "       allarm_serve --root DIR --enqueue FILE --as NAME\n";
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(flag) + ": expected a number, got '" +
-                                text + "'");
-  }
 }
 
 }  // namespace

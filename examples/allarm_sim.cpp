@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "cli.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
@@ -79,14 +80,14 @@ Options parse(int argc, char** argv) {
     else if (a == "--multiprocess") o.multiprocess = true;
     else if (a == "--trace") o.trace = value(i);
     else if (a == "--mode") o.mode = value(i);
-    else if (a == "--accesses") o.accesses = std::strtoull(value(i), nullptr, 10);
-    else if (a == "--pf-kb") o.pf_kb = std::strtoul(value(i), nullptr, 10);
-    else if (a == "--pf-ways") o.pf_ways = std::strtoul(value(i), nullptr, 10);
+    else if (a == "--accesses") o.accesses = cli::parse_u64(a.c_str(), value(i));
+    else if (a == "--pf-kb") o.pf_kb = cli::parse_u64(a.c_str(), value(i));
+    else if (a == "--pf-ways") o.pf_ways = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--policy") o.policy = value(i);
     else if (a == "--eviction-buffer") o.eviction_buffer = true;
     else if (a == "--serial-probe") o.serial_probe = true;
-    else if (a == "--migrate-us") o.migrate_us = std::strtoul(value(i), nullptr, 10);
-    else if (a == "--seed") o.seed = std::strtoull(value(i), nullptr, 10);
+    else if (a == "--migrate-us") o.migrate_us = cli::parse_u64(a.c_str(), value(i));
+    else if (a == "--seed") o.seed = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--full-stats") o.full_stats = true;
     else if (a == "--profile") o.profile = true;
     else if (a == "--timeline") o.timeline = value(i);

@@ -110,6 +110,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/config.hh"
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
@@ -272,20 +273,17 @@ runner::SweepSpec make_grid(const Options& options) {
   return spec;
 }
 
-runner::ShardSpec parse_shard(const char* text) {
+runner::ShardSpec parse_shard(const std::string& text) {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string::npos) {
+    std::cerr << "--shard wants K/N, got '" << text << "'\n";
+    usage(2);
+  }
   runner::ShardSpec shard;
-  char* end = nullptr;
-  shard.index = static_cast<std::uint32_t>(std::strtoul(text, &end, 10));
-  if (end == text || *end != '/') {
-    std::cerr << "--shard wants K/N, got '" << text << "'\n";
-    usage(2);
-  }
-  const char* count_text = end + 1;
-  shard.count = static_cast<std::uint32_t>(std::strtoul(count_text, &end, 10));
-  if (end == count_text || *end != '\0') {
-    std::cerr << "--shard wants K/N, got '" << text << "'\n";
-    usage(2);
-  }
+  shard.index = static_cast<std::uint32_t>(
+      cli::parse_u64("--shard", text.substr(0, slash)));
+  shard.count = static_cast<std::uint32_t>(
+      cli::parse_u64("--shard", text.substr(slash + 1)));
   try {
     shard.validate();
   } catch (const std::exception& e) {
@@ -306,13 +304,13 @@ Options parse(int argc, char** argv) {
     if (std::strcmp(arg, "--grid") == 0) {
       options.grid = value(i);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.jobs = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--seeds") == 0) {
-      options.seeds = static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.seeds = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--accesses") == 0) {
-      options.accesses = std::strtoull(value(i), nullptr, 10);
+      options.accesses = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = std::strtoull(value(i), nullptr, 10);
+      options.seed = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--out") == 0) {
       options.out = value(i);
     } else if (std::strcmp(arg, "--csv") == 0) {
@@ -330,7 +328,7 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--merge") == 0) {
       options.merge.push_back(value(i));
     } else if (std::strcmp(arg, "--window") == 0) {
-      options.window = std::strtoull(value(i), nullptr, 10);
+      options.window = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--timing") == 0) {
       options.timing = true;
     } else if (std::strcmp(arg, "--profile") == 0) {
@@ -350,7 +348,7 @@ Options parse(int argc, char** argv) {
         const std::size_t comma = list.find(',', pos);
         const std::size_t end = comma == std::string::npos ? list.size() : comma;
         const auto cores = static_cast<std::uint32_t>(
-            std::strtoul(list.substr(pos, end - pos).c_str(), nullptr, 10));
+            cli::parse_u64(arg, list.substr(pos, end - pos)));
         if (cores == 0) {
           std::cerr << "--cores wants a comma-separated list of positive "
                        "counts, got '" << list << "'\n";
@@ -362,10 +360,10 @@ Options parse(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--cell-retries") == 0) {
       options.cell_retries =
-          static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+          static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--cell-backoff-ms") == 0) {
       options.cell_backoff_ms =
-          static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+          static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--cell-timeout") == 0) {
       options.cell_timeout_s = std::strtod(value(i), nullptr);
       if (options.cell_timeout_s <= 0.0) {

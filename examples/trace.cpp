@@ -52,6 +52,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli.hh"
 #include "common/config.hh"
 #include "common/failpoint.hh"
 #include "common/stats.hh"
@@ -111,15 +112,14 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--policy") == 0) {
       o.policy = value(i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      o.seed = std::strtoull(value(i), nullptr, 10);
+      o.seed = cli::parse_u64(arg, value(i));
       o.seed_set = true;
     } else if (std::strcmp(arg, "--accesses") == 0) {
-      o.accesses = std::strtoull(value(i), nullptr, 10);
+      o.accesses = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--cores") == 0) {
-      o.cores = static_cast<std::uint32_t>(
-          std::strtoul(value(i), nullptr, 10));
+      o.cores = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--limit") == 0) {
-      o.limit = std::strtoull(value(i), nullptr, 10);
+      o.limit = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--json") == 0) {
       o.json = true;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {

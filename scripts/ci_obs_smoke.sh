@@ -9,8 +9,10 @@
 #                      the sweep/sink/journal/sim span categories;
 #  3. sim timeline   - allarm_sim --timeline writes valid JSON with the sim
 #                      category;
-#  4. sim flags      - allarm_sim rejects an unknown --mode or --policy
-#                      with exit 2 instead of running something else;
+#  4. bad flags      - allarm_sim rejects an unknown --mode or --policy,
+#                      and sweep/allarm_sim/allarm_serve reject malformed
+#                      integer values, with exit 2 and no report instead
+#                      of running something else;
 #  5. profile        - --profile adds a hist section with p50/p95/p99 for
 #                      every latency metric, in both the CLI report and a
 #                      service report requesting "profile": true;
@@ -78,14 +80,27 @@ echo "== 3/7 allarm_sim timeline is valid Chrome trace JSON =="
 check_timeline "$WORK/sim-timeline.json" sim
 echo "OK: allarm_sim timeline validated"
 
-echo "== 4/7 allarm_sim rejects unknown --mode/--policy values =="
-for bad in "--mode alarm" "--policy interleaved"; do
-    RC=0
-    # Word splitting is intended: each entry is one flag and its value.
-    # shellcheck disable=SC2086
-    "$SIM" --accesses 100 $bad > /dev/null 2>&1 || RC=$?
-    [ "$RC" -eq 2 ] || { echo "FAIL: allarm_sim $bad exited $RC, want 2"; exit 1; }
+echo "== 4/7 bad flag values exit 2 and write no report =="
+# Runs "$@", which must exit 2 without creating the report path $1.
+expect_exit2() {
+    local report=$1 rc=0
+    shift
+    "$@" > "$WORK/refused.out" 2> "$WORK/refused.err" || rc=$?
+    [ "$rc" -eq 2 ] \
+        || { echo "FAIL: $* exited $rc, want 2"; cat "$WORK/refused.err"; exit 1; }
+    [ ! -e "$report" ] || { echo "FAIL: $* wrote $report"; exit 1; }
+}
+expect_exit2 "$WORK/none" "$SIM" --accesses 100 --mode alarm
+expect_exit2 "$WORK/none" "$SIM" --accesses 100 --policy interleaved
+expect_exit2 "$WORK/none" "$SIM" --accesses 100 --seed 12abc
+# allarm_sim's report is its stdout.
+[ ! -s "$WORK/refused.out" ] \
+    || { echo "FAIL: allarm_sim --seed 12abc printed a report"; exit 1; }
+for bad in -5 abc; do
+    expect_exit2 "$WORK/bad.json" "$SWEEP" --grid quick --seeds 1 \
+        --accesses "$bad" --out "$WORK/bad.json"
 done
+expect_exit2 "$WORK/bad-spool" "$SERVE" --root "$WORK/bad-spool" --workers -1
 echo "OK: bad flag values exit 2"
 
 echo "== 5/7 --profile exports hist.* quantiles =="

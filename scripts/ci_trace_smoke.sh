@@ -13,7 +13,9 @@
 #                             is deterministic across --jobs;
 #  4. trace CLI             - record -> info -> cat -> replay round trip;
 #                             the replay result block must equal the
-#                             record result block byte for byte.
+#                             record result block byte for byte, and a
+#                             malformed `cat --limit` exits 2 with no
+#                             output.
 #
 # Usage: scripts/ci_trace_smoke.sh [path-to-sweep] [path-to-trace]
 set -euo pipefail
@@ -66,6 +68,14 @@ LINES=$(wc -l < "$WORK/cat.txt")
 BAD=$(grep -cvE '^[0-9]+ [LSI] [0-9a-f]+$' "$WORK/cat.txt" || true)
 if [ "$LINES" -ne 1000 ] || [ "$BAD" -ne 0 ]; then
     echo "FAIL: trace cat emitted $LINES lines ($BAD malformed)"
+    exit 1
+fi
+# A malformed --limit is a usage error, not "print every record".
+RC=0
+"$TRACE" cat "$WORK/cli.altr" --limit abc > "$WORK/cat-bad.txt" 2> /dev/null \
+    || RC=$?
+if [ "$RC" -ne 2 ] || [ -s "$WORK/cat-bad.txt" ]; then
+    echo "FAIL: trace cat --limit abc exited $RC, want 2 and no output"
     exit 1
 fi
 # Replay defaults (mode/policy/seed) come from the trace itself; its

@@ -15,8 +15,7 @@
 // records.  Record blocks belong to exactly one thread and reset their
 // delta state at the block boundary, which makes each block independently
 // decodable: the footer index (offset, first per-thread record index,
-// count) gives O(log blocks) random access for replay rewind and
-// shard-friendly seeking.
+// count) locates every thread's blocks without scanning the file.
 //
 // Records are delta/varint coded per thread:
 //

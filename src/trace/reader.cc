@@ -1,6 +1,5 @@
 #include "trace/reader.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -317,33 +316,6 @@ bool TraceCursor::next(Record& out) {
   --left_in_block_;
   ++position_;
   return true;
-}
-
-void TraceCursor::seek(std::uint64_t index) {
-  if (index > size_) {
-    throw std::out_of_range("TraceCursor: seek past end of stream");
-  }
-  position_ = index;
-  loaded_ = false;
-  left_in_block_ = 0;
-  if (index >= size_) return;  // Next next() returns false.
-
-  // Last block whose first_index <= index.
-  const auto it = std::upper_bound(
-      blocks_->begin(), blocks_->end(), index,
-      [](std::uint64_t i, const IndexEntry& b) { return i < b.first_index; });
-  const std::size_t block_pos =
-      static_cast<std::size_t>(it - blocks_->begin()) - 1;
-  load(block_pos);
-
-  // Decode-skip to the target record.  Skipping burns no rng state — the
-  // caller owns rng positioning (System's replay path restores its own
-  // snapshot); seek only moves the stream.
-  Record scratch;
-  for (std::uint64_t i = (*blocks_)[block_pos].first_index; i < index; ++i) {
-    scratch = decode_record(decoder_, prev_vaddr_);
-    --left_in_block_;
-  }
 }
 
 }  // namespace allarm::trace

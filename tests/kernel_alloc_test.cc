@@ -120,11 +120,10 @@ TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
       << "far-heap traffic allocated in steady state";
 }
 
-TEST(KernelAllocations, BatchedGenerationIsAllocationFree) {
-  // The batched issue path pre-generates accesses through
-  // AccessGenerator::next_batch into a pre-sized ring.  Steady-state
-  // generation must allocate nothing: no per-batch vectors, no Mix/Phased
-  // scratch growth — construction reserves everything.
+TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {
+  // Every access is issued by one AccessGenerator::next() call.  Once the
+  // generators are built, drawing from them must allocate nothing: no
+  // Mix/Phased scratch growth, no lazily built Zipf tables.
   SystemConfig config;
   const workload::WorkloadSpec spec =
       workload::make_benchmark("ocean-cont", config, 1000);
@@ -139,40 +138,22 @@ TEST(KernelAllocations, BatchedGenerationIsAllocationFree) {
       std::make_unique<workload::ZipfPages>(0x1000, 1024, 0.9, 0.2));
   rngs.emplace_back(99);
 
-  // Replay snapshot buffers, reserved once like System::run does.
-  std::vector<std::vector<std::uint64_t>> states(generators.size());
-  for (std::size_t g = 0; g < generators.size(); ++g) {
-    generators[g]->save_state(states[g]);
-    states[g].clear();
-  }
-
-  constexpr std::size_t kRing = 64;
-  workload::Access ring[kRing];
-  const workload::Span<workload::Access> span(ring, kRing);
-
   // Warm-up: cross every Phased stage boundary at least once.
   for (std::size_t g = 0; g < generators.size(); ++g) {
-    for (int i = 0; i < 64; ++i) generators[g]->next_batch(rngs[g], 0, span);
+    for (int i = 0; i < 4096; ++i) generators[g]->next(rngs[g], 0);
   }
 
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
   Tick now = 0;
   for (int round = 0; round < 200; ++round) {
     for (std::size_t g = 0; g < generators.size(); ++g) {
-      // Fill, snapshot (the ring's replay bookkeeping), and replay —
-      // the full batched-issue cycle.
-      states[g].clear();
-      generators[g]->save_state(states[g]);
-      generators[g]->next_batch(rngs[g], now, span);
-      const std::uint64_t* cursor = states[g].data();
-      generators[g]->restore_state(cursor);
-      generators[g]->next_batch(rngs[g], now, span);
+      for (int i = 0; i < 64; ++i) generators[g]->next(rngs[g], now);
     }
     now += ticks_from_ns(100.0);
   }
   const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(news_after - news_before, 0u)
-      << "batched access generation allocated in steady state";
+      << "access generation allocated in steady state";
 }
 
 TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {

@@ -207,9 +207,9 @@ TEST(TraceCapture, CaptureIsInvisibleAndReplayIsByteIdentical) {
   std::remove(capturing.capture_trace.c_str());
 }
 
-TEST(TraceCapture, JitterFreeReplayGoesThroughTheIssueRing) {
-  // think_jitter = 0: the replay run issues through the batched ring
-  // (capture itself is forced serial), and must still reproduce exactly.
+TEST(TraceCapture, JitterFreeCaptureReplaysByteIdentically) {
+  // think_jitter = 0: no jitter draws interleave with the generator's, so
+  // the recorded per-access draw counts alone keep replay in lockstep.
   SystemConfig config;
   core::RunRequest direct;
   direct.config = config;
@@ -217,7 +217,7 @@ TEST(TraceCapture, JitterFreeReplayGoesThroughTheIssueRing) {
   direct.seed = 13;
 
   core::RunRequest capturing = direct;
-  capturing.capture_trace = capture_path("ring");
+  capturing.capture_trace = capture_path("jitter-free");
   const core::RunResult a = core::run_request(direct);
   const core::RunResult b = core::run_request(capturing);
   expect_identical(a, b);
