@@ -26,9 +26,9 @@
 
 #include "bench_cli.hh"
 #include "common/config.hh"
+#include "common/fileio.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "sim/event_queue.hh"
 #include "workload/profiles.hh"
 
@@ -154,7 +154,7 @@ int run(const Options& opt) {
             << ", accesses=" << opt.accesses << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_file_durable(opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }

@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "bench_cli.hh"
+#include "common/fileio.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -174,7 +174,7 @@ int run(const Options& opt) {
             << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_file_durable(opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }

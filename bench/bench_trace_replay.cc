@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "bench_cli.hh"
+#include "common/fileio.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "workload/profiles.hh"
@@ -184,7 +184,7 @@ int run(const Options& opt) {
             << ", accesses=" << opt.accesses << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_file_durable(opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   std::remove(trace_path.c_str());
   return 0;

@@ -104,24 +104,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli.hh"
-#include "common/config.hh"
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
-#include "core/experiment.hh"
 #include "obs/timeline.hh"
 #include "runner/grids.hh"
 #include "runner/report.hh"
 #include "runner/sink.hh"
 #include "runner/sweep.hh"
-#include "trace/replay.hh"
-#include "workload/profiles.hh"
 
 namespace {
 
@@ -183,38 +177,6 @@ void list_grids() {
          " x modes\n";
 }
 
-/// Workload label of one trace-grid cell, and its inverse.  Encoding the
-/// core count into the label keeps the (trace x cores) product on the
-/// workload axis, where the label also seeds and names the cell.
-std::string trace_label(const std::string& path, std::uint32_t cores) {
-  return path + "@" + std::to_string(cores);
-}
-
-/// Path -> open reader, shared across the grid: a trace swept at several
-/// core counts and configs is opened (and its framing CRC-verified) once,
-/// not once per (workload, config) cell.
-using TraceReaderCache =
-    std::map<std::string, std::shared_ptr<const trace::TraceReader>>;
-
-workload::WorkloadSpec make_trace_workload_for_label(
-    const std::string& label, const SystemConfig& config,
-    TraceReaderCache& readers) {
-  const auto at = label.rfind('@');
-  if (at == std::string::npos) {
-    throw std::invalid_argument("trace grid label '" + label +
-                                "' is missing its @cores suffix");
-  }
-  const auto cores =
-      static_cast<std::uint32_t>(std::strtoul(label.c_str() + at + 1,
-                                              nullptr, 10));
-  const std::string path = label.substr(0, at);
-  auto& reader = readers[path];
-  if (reader == nullptr) {
-    reader = std::make_shared<const trace::TraceReader>(path);
-  }
-  return trace::make_replay_workload(reader, config, cores);
-}
-
 /// mkdir for --capture; an existing directory is fine (rerun into it).
 void ensure_directory(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -224,48 +186,19 @@ void ensure_directory(const std::string& path) {
 }
 
 runner::SweepSpec make_grid(const Options& options) {
+  // Every grid lives in the library (runner/grids.hh), shared with the service.
+  runner::GridKnobs knobs;
+  knobs.seeds = options.seeds;
+  knobs.base_seed = options.seed;
+  knobs.accesses = options.accesses;
+  knobs.traces = options.traces;
+  knobs.cores = options.cores;
   runner::SweepSpec spec;
-  if (options.grid == "trace") {
-    if (options.traces.empty()) {
-      std::cerr << "--grid trace requires at least one --trace FILE\n";
-      usage(2);
-    }
-    SystemConfig config;
-    spec.name = options.grid;
-    spec.replicates = options.seeds;
-    spec.base_seed = options.seed;
-    // Trace lengths are fixed by the files; the accesses knob does not
-    // apply (and stays out of the report's meaning).
-    spec.accesses_per_thread = 0;
-    std::vector<std::uint32_t> cores = options.cores;
-    if (cores.empty()) cores = {config.num_cores};
-    for (const std::string& path : options.traces) {
-      for (const std::uint32_t c : cores) {
-        spec.workloads.push_back(trace_label(path, c));
-      }
-    }
-    spec.modes = {DirectoryMode::kBaseline, DirectoryMode::kAllarm};
-    spec.configs = {{"first-touch", config, numa::AllocPolicy::kFirstTouch},
-                    {"interleave", config, numa::AllocPolicy::kInterleave}};
-    const auto readers = std::make_shared<TraceReaderCache>();
-    spec.make_workload = [readers](const std::string& label,
-                                   const SystemConfig& grid_config,
-                                   std::uint64_t) {
-      return make_trace_workload_for_label(label, grid_config, *readers);
-    };
-  } else {
-    // The built-in grids live in the library (runner/grids.hh) so the
-    // sweep service builds the same specs from spool requests.
-    runner::GridKnobs knobs;
-    knobs.seeds = options.seeds;
-    knobs.base_seed = options.seed;
-    knobs.accesses = options.accesses;
-    try {
-      spec = runner::make_builtin_grid(options.grid, knobs);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << e.what() << "\n";
-      usage(2);
-    }
+  try {
+    spec = runner::make_builtin_grid(options.grid, knobs);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    usage(2);
   }
   spec.capture_dir = options.capture_dir;
   spec.replay_dir = options.replay_dir;
@@ -505,8 +438,9 @@ int main(int argc, char** argv) try {
   const runner::SweepRunner sweep_runner(options.jobs);
   runner::StreamOptions stream;
   stream.journal_path = options.journal;
-  stream.resume = options.resume;
-  stream.resume_cells = options.resume_cells;
+  stream.resume = options.resume_cells ? runner::ResumeMode::kPerCell
+                  : options.resume     ? runner::ResumeMode::kStrict
+                                       : runner::ResumeMode::kNone;
   stream.shard = options.shard;
   if (!options.cost_from.empty()) {
     // Cost-aware partition: plan_shards is deterministic, so every shard

@@ -5,10 +5,12 @@
 #  1. baseline       - a clean journaled run of the quick grid (reference
 #                      bytes for everything below);
 #  2. fault/resume   - for a rotation of injected faults (journal fsync,
-#                      torn pwrite, journal append, report sink write) the
-#                      sweep either absorbs the fault byte-identically or
-#                      fails loudly; after a loud failure, a clean --resume
-#                      must reproduce the reference bytes;
+#                      torn pwrite, journal append, report sink write, and
+#                      an open or header write failing while the journal is
+#                      created) the sweep either absorbs the fault
+#                      byte-identically or fails loudly; after a loud
+#                      failure, a clean --resume must reproduce the
+#                      reference bytes;
 #  3. retry          - a transient per-attempt fault plus --cell-retries
 #                      heals in place: exit 0 and byte-identical output;
 #  4. quarantine     - a permanent per-job fault plus --quarantine finishes
@@ -40,6 +42,8 @@ FAULTS=(
     "fileio.pwrite=torn@6"
     "fileio.pwrite=short@9"
     "sink.write=err@3"
+    "fileio.open=err@2"
+    "fileio.pwrite=err@1"
 )
 for FAULT in "${FAULTS[@]}"; do
     JOURNAL="$WORK/fault-${FAULT//[^a-z0-9]/_}.journal"

@@ -9,7 +9,13 @@
 #                     jobs from the journal, not recomputed everything);
 #  3. shard/merge   - --shard 1/2 and --shard 2/2 partial runs, folded with
 #                     --merge, must reproduce the single-machine bytes for
-#                     both the JSON and the CSV report.
+#                     both the JSON and the CSV report;
+#  4. resume-cells  - --resume-cells on a missing journal runs everything,
+#                     an identical rerun runs nothing and resumes every job,
+#                     and a --seed 43 rerun matches a fresh --seed 43 run;
+#  5. cost-from     - a --timing journal plans --shard 1/2 and 2/2 with
+#                     --cost-from; their merge reproduces the single-machine
+#                     JSON and CSV.
 #
 # Usage: scripts/ci_resume_smoke.sh [path-to-sweep-binary]
 set -euo pipefail
@@ -23,7 +29,7 @@ ARGS=(--grid quick --seeds 2 --accesses 2000 --seed 42)
 HEADER=64
 RECORD=40
 
-echo "== 1/3 determinism: --jobs 2 vs --jobs 1 =="
+echo "== 1/5 determinism: --jobs 2 vs --jobs 1 =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --out "$WORK/full.json" --csv "$WORK/full.csv" \
     2> "$WORK/full.log"
 cat "$WORK/full.log" >&2
@@ -39,7 +45,7 @@ if [ -z "$TOTAL_JOBS" ] || [ "$TOTAL_JOBS" -lt 2 ]; then
     exit 1
 fi
 
-echo "== 2/3 kill -9 at ~40% of journaled jobs, then --resume =="
+echo "== 2/5 kill -9 at ~40% of journaled jobs, then --resume =="
 TARGET=$(( (TOTAL_JOBS * 40 + 99) / 100 ))   # ceil(40%)
 "$SWEEP" "${ARGS[@]}" --jobs 1 --journal "$WORK/run.journal" \
          --out "$WORK/interrupted.json" &
@@ -84,7 +90,7 @@ if [ "$KILLED" -eq 1 ] && [ "$RESUMED" -lt $((TARGET - 1)) ]; then
 fi
 echo "OK: resumed report is byte-identical to an uninterrupted run"
 
-echo "== 3/3 2-shard run + --merge vs single-machine bytes =="
+echo "== 3/5 2-shard run + --merge vs single-machine bytes =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 1/2 --journal "$WORK/s1.journal" \
          --out "$WORK/s1.json"
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 2/2 --journal "$WORK/s2.journal" \
@@ -97,5 +103,39 @@ cmp "$WORK/full.csv" "$WORK/merged.csv"
 [ "$(stat -c %s "$WORK/s1.json")" -lt "$(stat -c %s "$WORK/full.json")" ]
 [ "$(stat -c %s "$WORK/s2.json")" -lt "$(stat -c %s "$WORK/full.json")" ]
 echo "OK: shard+merge reproduces the single-machine bytes (json + csv)"
+
+echo "== 4/5 --resume-cells: create, resume everything, re-run a new seed =="
+"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/cells.journal" --resume-cells \
+         --out "$WORK/cells.json"
+cmp "$WORK/full.json" "$WORK/cells.json"
+"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/cells.journal" --resume-cells \
+         --out "$WORK/cells-again.json" 2> "$WORK/cells.log"
+cat "$WORK/cells.log"
+cmp "$WORK/full.json" "$WORK/cells-again.json"
+grep -q ": 0 jobs run, $TOTAL_JOBS resumed from journal" "$WORK/cells.log" || {
+    echo "FAIL: an identical --resume-cells rerun must resume all" \
+         "$TOTAL_JOBS jobs and run none"
+    exit 1
+}
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --out "$WORK/seed43.json"
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --journal "$WORK/cells.journal" \
+         --resume-cells --out "$WORK/cells-43.json"
+cmp "$WORK/seed43.json" "$WORK/cells-43.json"
+echo "OK: --resume-cells creates, resumes everything, and re-runs a new seed"
+
+echo "== 5/5 --cost-from plans the shards; the merge is unchanged =="
+"$SWEEP" "${ARGS[@]}" --jobs 2 --timing --journal "$WORK/timing.journal" \
+         --out "$WORK/timing.json"
+for K in 1 2; do
+    "$SWEEP" "${ARGS[@]}" --jobs 2 --shard "$K/2" \
+             --cost-from "$WORK/timing.journal" \
+             --journal "$WORK/cost$K.journal" --out "$WORK/cost$K.json"
+done
+"$SWEEP" "${ARGS[@]}" --merge "$WORK/cost1.journal" \
+         --merge "$WORK/cost2.journal" \
+         --out "$WORK/cost-merged.json" --csv "$WORK/cost-merged.csv"
+cmp "$WORK/full.json" "$WORK/cost-merged.json"
+cmp "$WORK/full.csv" "$WORK/cost-merged.csv"
+echo "OK: cost-planned shards merge to the single-machine bytes (json + csv)"
 
 echo "resume smoke: all checks passed"

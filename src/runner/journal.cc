@@ -1,5 +1,8 @@
 #include "runner/journal.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -50,6 +53,17 @@ static_assert(sizeof(RawRecord) == Journal::kRecordSize,
 
 std::uint32_t header_crc(const RawHeader& h) {
   return crc32c(&h, offsetof(RawHeader, header_crc));
+}
+
+RawHeader header_for(const JournalMeta& meta) {
+  RawHeader header;
+  header.spec_hash = meta.spec_hash;
+  header.job_count = meta.job_count;
+  header.base_seed = meta.base_seed;
+  header.shard_index = meta.shard_index;
+  header.shard_count = meta.shard_count;
+  header.header_crc = header_crc(header);
+  return header;
 }
 
 std::uint32_t record_crc(const RawRecord& r) {
@@ -321,19 +335,22 @@ FailureRecord deserialize_failure(const void* data, std::size_t size) {
 // ----------------------------------------------------------------- Journal ----
 
 Journal Journal::create(const std::string& path, const JournalMeta& meta) {
+  // The journal appears only by a rename of a complete header, after its
+  // data file exists: no crash can leave one that a resume cannot open.
   Journal j;
-  j.journal_ = File(path, File::Mode::kCreate);
   j.data_ = File(journal_data_path(path), File::Mode::kCreate);
-
-  RawHeader header;
-  header.spec_hash = meta.spec_hash;
-  header.job_count = meta.job_count;
-  header.base_seed = meta.base_seed;
-  header.shard_index = meta.shard_index;
-  header.shard_count = meta.shard_count;
-  header.header_crc = header_crc(header);
-  j.journal_.write_at(0, &header, sizeof(header));
-  j.journal_.sync();
+  const RawHeader header = header_for(meta);
+  const std::string tmp = path + ".tmp";
+  write_file_durable(
+      tmp, std::string(reinterpret_cast<const char*>(&header), sizeof(header)));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    bad_journal(path, "rename from " + tmp + ": " + std::strerror(errno));
+  }
+  const std::size_t slash = path.rfind('/');
+  sync_directory(slash == std::string::npos
+                     ? "."
+                     : path.substr(0, std::max<std::size_t>(slash, 1)));
+  j.journal_ = File(path, File::Mode::kReadWrite);
 
   j.index_.meta = meta;
   j.index_.valid_journal_bytes = kHeaderSize;
@@ -343,44 +360,27 @@ Journal Journal::create(const std::string& path, const JournalMeta& meta) {
   return j;
 }
 
-Journal Journal::open_resume(const std::string& path,
-                             const JournalMeta& expected) {
-  Journal j;
-  j.journal_ = File(path, File::Mode::kReadWrite);
-  j.data_ = File(journal_data_path(path), File::Mode::kReadWrite);
-  j.index_ = scan(j.journal_, j.data_);
-
-  const JournalMeta& meta = j.index_.meta;
-  require_field(path, "spec hash", meta.spec_hash, expected.spec_hash);
-  require_field(path, "job count", meta.job_count, expected.job_count);
-  require_field(path, "base seed", meta.base_seed, expected.base_seed);
-  require_field(path, "shard index", meta.shard_index, expected.shard_index);
-  require_field(path, "shard count", meta.shard_count, expected.shard_count);
-
-  // Drop the torn tail (stray bytes and CRC-failed records) so appends
-  // start from a clean boundary.
-  j.journal_.truncate(j.index_.valid_journal_bytes);
-  j.data_.truncate(j.index_.valid_data_bytes);
-  j.journal_end_ = j.index_.valid_journal_bytes;
-  j.data_end_ = j.index_.valid_data_bytes;
-  j.writable_ = true;
-  return j;
-}
-
-Journal Journal::open_rebind(const std::string& path,
-                             const JournalMeta& expected) {
+Journal Journal::open_append(const std::string& path,
+                             const JournalMeta& expected, bool rebind) {
   Journal j;
   j.journal_ = File(path, File::Mode::kReadWrite);
   j.data_ = File(journal_data_path(path), File::Mode::kReadWrite);
   j.index_ = scan(j.journal_, j.data_);
 
   // Shape and shard are structural — a journal whose job indices mean a
-  // different grid cannot be reinterpreted, only replaced.
+  // different grid cannot be reinterpreted, only replaced.  The identity
+  // (spec hash, base seed) is refused on a strict open, rebound otherwise.
   const JournalMeta& meta = j.index_.meta;
+  if (!rebind) {
+    require_field(path, "spec hash", meta.spec_hash, expected.spec_hash);
+    require_field(path, "base seed", meta.base_seed, expected.base_seed);
+  }
   require_field(path, "job count", meta.job_count, expected.job_count);
   require_field(path, "shard index", meta.shard_index, expected.shard_index);
   require_field(path, "shard count", meta.shard_count, expected.shard_count);
 
+  // Drop the torn tail (stray bytes and CRC-failed records) so appends
+  // start from a clean boundary.
   j.journal_.truncate(j.index_.valid_journal_bytes);
   j.data_.truncate(j.index_.valid_data_bytes);
   j.journal_end_ = j.index_.valid_journal_bytes;
@@ -393,13 +393,7 @@ Journal Journal::open_rebind(const std::string& path,
   // stale records the next incremental open filters again).
   if (meta.spec_hash != expected.spec_hash ||
       meta.base_seed != expected.base_seed) {
-    RawHeader header;
-    header.spec_hash = expected.spec_hash;
-    header.job_count = expected.job_count;
-    header.base_seed = expected.base_seed;
-    header.shard_index = expected.shard_index;
-    header.shard_count = expected.shard_count;
-    header.header_crc = header_crc(header);
+    const RawHeader header = header_for(expected);
     j.journal_.write_at(0, &header, sizeof(header));
     j.journal_.sync();
     j.index_.meta = expected;

@@ -70,7 +70,8 @@ struct FailureRecord {
 struct JournalIndex {
   JournalMeta meta;
   /// Valid records in append order.  A job may appear more than once
-  /// (re-run after payload corruption); the LAST record wins.
+  /// (re-run after payload corruption); the latest record whose payload
+  /// verified wins.
   std::vector<JournalEntry> entries;
   std::uint64_t valid_journal_bytes = 0;  ///< Header + intact records.
   std::uint64_t valid_data_bytes = 0;     ///< Extent of referenced payloads.
@@ -114,7 +115,8 @@ class Journal {
   /// Appends between durability points; sync() also runs on close.
   static constexpr std::uint32_t kSyncBatch = 16;
 
-  /// Creates (or truncates) a fresh journal stamped with `meta`.
+  /// Creates (or replaces) a fresh journal stamped with `meta`.  Crash-
+  /// atomic: a crash leaves either no journal or a valid empty one.
   static Journal create(const std::string& path, const JournalMeta& meta);
 
   /// Opens an existing journal for resume: validates the header against
@@ -122,7 +124,9 @@ class Journal {
   /// job count, base seed or shard), scans the records, truncates any torn
   /// tail from both files, and positions for append.
   static Journal open_resume(const std::string& path,
-                             const JournalMeta& expected);
+                             const JournalMeta& expected) {
+    return open_append(path, expected, /*rebind=*/false);
+  }
 
   /// Incremental-resume open: like open_resume, but a spec-hash or
   /// base-seed mismatch REBINDS the journal instead of refusing — the
@@ -132,7 +136,9 @@ class Journal {
   /// Callers decide per record what is still valid (per-cell hashes);
   /// stale records are superseded by re-run appends, last-record-wins.
   static Journal open_rebind(const std::string& path,
-                             const JournalMeta& expected);
+                             const JournalMeta& expected) {
+    return open_append(path, expected, /*rebind=*/true);
+  }
 
   /// Opens read-only (merge path): header is validated for magic/version
   /// and CRC only; callers check meta themselves.
@@ -186,6 +192,9 @@ class Journal {
   /// record (with `flags`) to the journal.
   void append_record(std::uint64_t job_index, std::uint64_t seed,
                      const std::string& payload, std::uint32_t flags);
+  /// Shared body of open_resume (rebind = false) and open_rebind.
+  static Journal open_append(const std::string& path,
+                             const JournalMeta& expected, bool rebind);
   std::string verified_payload(const JournalEntry& entry) const;
 
   File journal_;

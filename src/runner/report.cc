@@ -221,10 +221,6 @@ std::string to_csv(const SweepResult& result) {
   return out.str();
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  write_file_durable(path, content);
-}
-
 // ----------------------------------------------------------- ReportFiles ----
 
 namespace {

@@ -84,10 +84,6 @@ std::string to_json(const SweepResult& result);
 /// Renders `result` as long-format CSV.  Wrapper over CsvStreamSink.
 std::string to_csv(const SweepResult& result);
 
-/// Writes `content` to `path` and fsyncs it; throws std::runtime_error on
-/// any I/O failure.
-void write_file(const std::string& path, const std::string& content);
-
 /// The report file pipeline shared by the sweep CLI and the sweep service:
 /// streaming JSON to a file (or stdout) plus an optional CSV, fanned out
 /// through one TeeSink.  File reports stream into `<path>.tmp` and rename

@@ -9,7 +9,6 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include <sys/stat.h>
@@ -83,19 +82,23 @@ void fold_config(Fnv1a64& h, const SystemConfig& c) {
   h.update_u64(static_cast<std::uint64_t>(c.local_hop_latency));
 }
 
-/// What one job contributed: a result, or (quarantine path) a structured
-/// failure that the cell reports instead of a replicate's samples.
+/// What one job contributed, executed or restored from a journal: a
+/// result, or (quarantine path) a structured failure that the cell reports
+/// instead of a replicate's samples.
 struct JobOutcome {
+  std::uint64_t job_index = 0;
   core::RunResult result;
   bool failed = false;
-  std::uint32_t attempts = 1;
-  std::string error;
+  std::uint32_t attempts = 1;  ///< Execution attempts, including retries.
+  std::string error;           ///< what() of the last attempt's exception.
+  /// The same exception, for the fail-fast rethrow on the folding thread
+  /// (null when restored from a journal).
+  std::exception_ptr exception;
 };
 
 /// The grid-order streaming fold shared by live runs and journal merges:
-/// pulls job results through `result_of`, assembles each cell, hands it to
-/// `sink`, drops it.  `job_indices` must be a grid-ordered subset of whole
-/// cells (replicates never split).
+/// assembles each cell from its outcomes, hands it to `sink`, drops it.
+/// Outcomes must arrive in grid order, whole cells at a time.
 class CellFolder {
  public:
   CellFolder(const SweepSpec& spec, const std::vector<Job>& jobs,
@@ -105,8 +108,8 @@ class CellFolder {
   /// Folds one outcome; must be called in grid order.  A failed outcome
   /// contributes a CellFailure instead of runtime/stat samples (the seed is
   /// still recorded — it is what the replicate would have run with).
-  void fold(std::uint64_t job_index, JobOutcome&& outcome) {
-    const Job& job = jobs_[job_index];
+  void fold(JobOutcome&& outcome) {
+    const Job& job = jobs_[outcome.job_index];
     if (fill_ == 0) {
       cell_ = CellResult{};
       cell_.workload = spec_.workloads[job.coord.workload];
@@ -162,20 +165,6 @@ class CellFolder {
   std::uint64_t cells_failed_ = 0;
 };
 
-/// Global job indices owned by `shard`, in grid order (whole cells).
-std::vector<std::uint64_t> owned_job_indices(const SweepSpec& spec,
-                                             const ShardSpec& shard) {
-  std::vector<std::uint64_t> owned;
-  const std::uint64_t cells = spec.cell_count();
-  for (std::uint64_t cell = 0; cell < cells; ++cell) {
-    if (!shard.owns_cell(cell)) continue;
-    for (std::uint32_t r = 0; r < spec.replicates; ++r) {
-      owned.push_back(cell * spec.replicates + r);
-    }
-  }
-  return owned;
-}
-
 void check_entry_seed(const std::string& path, const JournalEntry& entry,
                       const std::vector<Job>& jobs) {
   if (entry.seed != jobs[entry.job_index].request.seed) {
@@ -186,6 +175,37 @@ void check_entry_seed(const std::string& path, const JournalEntry& entry,
         std::to_string(jobs[entry.job_index].request.seed) +
         " — seed derivation mismatch, refusing to resume");
   }
+}
+
+/// The one journal reader: for each of the first `job_count` jobs, its
+/// latest record whose payload verified, so a damaged record never hides an
+/// intact earlier one.  Resume, per-cell resume, merge and cost planning
+/// each apply only their own rule on top.
+std::vector<std::optional<JournalEntry>> latest_records(
+    const Journal& journal, std::uint64_t job_count) {
+  std::vector<std::optional<JournalEntry>> latest(job_count);
+  for (const JournalEntry& entry : journal.index().entries) {
+    if (entry.payload_ok && entry.job_index < job_count) {
+      latest[entry.job_index] = entry;
+    }
+  }
+  return latest;
+}
+
+/// The outcome a journaled record holds (resume and merge).  Throws when
+/// the payload no longer reads back.
+JobOutcome restore(const Journal& journal, const JournalEntry& entry) {
+  JobOutcome outcome;
+  outcome.job_index = entry.job_index;
+  if (entry.failed) {
+    FailureRecord failure = journal.read_failure(entry);
+    outcome.failed = true;
+    outcome.attempts = failure.attempts;
+    outcome.error = std::move(failure.error);
+  } else {
+    outcome.result = journal.read_payload(entry);
+  }
+  return outcome;
 }
 
 }  // namespace
@@ -340,26 +360,23 @@ std::vector<double> cell_costs_from_journal(const SweepSpec& spec,
         std::to_string(journal.meta().job_count) + " jobs but the spec has " +
         std::to_string(job_count) + " — cost model needs the same grid shape");
   }
-  // Last record wins, like resume; failures and damaged payloads leave the
-  // job unmeasured (they carry no wall clock).
-  std::vector<std::optional<JournalEntry>> last(job_count);
-  for (const JournalEntry& entry : journal.index().entries) {
-    if (entry.job_index >= job_count) continue;
-    last[entry.job_index] = entry;
-  }
+  // Failures carry no wall clock: they leave the job unmeasured, as do an
+  // unreadable payload and a record journaled before timing existed.
+  const std::vector<std::optional<JournalEntry>> latest =
+      latest_records(journal, job_count);
   std::vector<double> job_cost(job_count, -1.0);
   double total = 0.0;
   std::uint64_t measured = 0;
   for (std::uint64_t j = 0; j < job_count; ++j) {
-    if (!last[j] || !last[j]->payload_ok || last[j]->failed) continue;
-    core::RunResult result;
+    if (!latest[j] || latest[j]->failed) continue;
+    std::uint64_t wall_ns = 0;
     try {
-      result = journal.read_payload(*last[j]);
+      wall_ns = journal.read_payload(*latest[j]).wall_ns;
     } catch (const std::exception&) {
-      continue;  // Corrupt payload: job is unmeasured, not fatal.
+      continue;
     }
-    if (result.wall_ns == 0) continue;  // Journaled before timing existed.
-    job_cost[j] = static_cast<double>(result.wall_ns);
+    if (wall_ns == 0) continue;
+    job_cost[j] = static_cast<double>(wall_ns);
     total += job_cost[j];
     ++measured;
   }
@@ -460,6 +477,226 @@ std::vector<Job> expand_jobs(const SweepSpec& spec) {
   return jobs;
 }
 
+// ------------------------------------------------- run_streaming stages ----
+
+namespace {
+
+/// Stage 1, the job source: the grid, the jobs this shard owns, the
+/// journal (created, resumed or rebound per StreamOptions::resume) and the
+/// records a resume replays instead of running their jobs.
+struct JobSource {
+  std::vector<Job> jobs;             ///< The whole grid, in grid order.
+  std::vector<std::uint64_t> owned;  ///< Jobs this shard runs, grid order.
+  std::optional<Journal> journal;
+  /// done[job] = the journaled record that stands in for running `job`.
+  std::vector<std::optional<JournalEntry>> done;
+};
+
+JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
+  validate_axes(spec);
+  options.shard.validate();
+  const std::string& path = options.journal_path;
+  if (options.resume != ResumeMode::kNone && path.empty()) {
+    throw std::invalid_argument("resume requires a journal path");
+  }
+  if (options.resume == ResumeMode::kPerCell && options.shard.count != 1) {
+    // A spec edit can change any cell, and stale records would be stranded
+    // in whichever shard's journal round-robin (or a cost plan) previously
+    // assigned them — per-cell resume is a single-journal operation.
+    throw std::invalid_argument(
+        "per-cell incremental resume requires an unsharded sweep");
+  }
+  if (options.stop != nullptr && path.empty()) {
+    throw std::invalid_argument(
+        "a drainable run requires a journal (drain checkpoints into it)");
+  }
+
+  JobSource source;
+  source.jobs = expand_jobs(spec);
+  for (std::uint64_t job = 0; job < source.jobs.size(); ++job) {
+    // Shards own whole cells, so a cell's replicates stay together.
+    if (options.shard.owns_cell(job / spec.replicates)) {
+      source.owned.push_back(job);
+    }
+  }
+  source.done.resize(source.jobs.size());
+  if (path.empty()) return source;
+
+  const JournalMeta meta{spec_hash(spec), source.jobs.size(), spec.base_seed,
+                         options.shard.index, options.shard.count};
+  if (!file_exists(path)) {
+    source.journal.emplace(Journal::create(path, meta));
+    return source;
+  }
+  if (options.resume == ResumeMode::kNone) {
+    // Never silently truncate journaled work — it is exactly the data the
+    // journal exists to protect.
+    throw std::runtime_error("journal " + path +
+                             " already exists; resume it (--resume) or "
+                             "delete it to start fresh");
+  }
+  const bool per_cell = options.resume == ResumeMode::kPerCell;
+  // Per-cell resume rebinds the journal to this spec's identity and keeps
+  // exactly the records whose cell definition is unchanged; stale ones
+  // (edited cell, changed seed, broken payload) are simply not done, and
+  // the re-run appends supersede them.
+  source.journal.emplace(per_cell ? Journal::open_rebind(path, meta)
+                                  : Journal::open_resume(path, meta));
+  source.done = latest_records(*source.journal, source.jobs.size());
+  for (std::optional<JournalEntry>& record : source.done) {
+    if (!record) continue;
+    const std::uint64_t cell = record->job_index / spec.replicates;
+    // A quarantined job is not done: the resume re-runs it, and the
+    // success it journals supersedes the failure.
+    bool live = !record->failed;
+    if (!per_cell) {
+      check_entry_seed(path, *record, source.jobs);
+      if (!options.shard.owns_cell(cell)) {
+        throw std::runtime_error("journal " + path + ": records job " +
+                                 std::to_string(record->job_index) +
+                                 " outside this shard");
+      }
+    } else if (live) {
+      // Every journaled payload carries its cell's identity hash (0 when
+      // journaled before stamping, which is stale too).
+      std::uint64_t stamped = 0;
+      try {
+        source.journal->read_payload(*record, &stamped);
+        live = record->seed == source.jobs[record->job_index].request.seed &&
+               stamped == cell_hash(spec, cell);
+      } catch (const std::exception&) {
+        live = false;
+      }
+    }
+    if (!live) record.reset();
+  }
+  return source;
+}
+
+/// Applies a hit of a per-job failpoint: kDelay sleeps, anything else
+/// fails the attempt.
+void apply_job_fault(const failpoint::Hit& hit, const char* site,
+                     std::uint64_t job_index) {
+  if (!hit) return;
+  if (hit.action == failpoint::Action::kDelay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
+    return;
+  }
+  throw std::runtime_error("job " + std::to_string(job_index) +
+                           ": injected fault (failpoint " + site + ")");
+}
+
+/// Stage 2, the attempt executor: runs one job to its outcome, retrying a
+/// throwing attempt up to `cell_retries` times with bounded exponential
+/// backoff under the per-job watchdog.  Retries are safe to the byte —
+/// jobs are pure functions of their RunRequest, so a retried job
+/// reproduces exactly what the failed attempt would have produced.  Two
+/// failpoints make faults schedulable under any worker count: `cell.job`
+/// matches the grid-order job index (permanent faults pinned to a cell),
+/// `cell.attempt` counts attempts process-wide (transient faults that heal
+/// on retry).  Never throws: the last attempt's exception is the outcome.
+JobOutcome execute_job(const Job& job, std::uint64_t job_index,
+                       const StreamOptions& options) {
+  JobOutcome outcome;
+  outcome.job_index = job_index;
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    outcome.attempts = attempt;
+    try {
+      if (attempt > 1 && options.retry_backoff_ms > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(retry_backoff_ms(
+            options.retry_backoff_ms, attempt - 1, job_index)));
+      }
+      apply_job_fault(failpoint::check_indexed("cell.job", job_index),
+                      "cell.job", job_index);
+      apply_job_fault(failpoint::check("cell.attempt"), "cell.attempt",
+                      job_index);
+      {
+        OBS_SPAN_N("sweep.job", "sweep", job_index);
+        outcome.result =
+            core::run_request(job.request, options.cell_timeout_ns);
+      }
+      outcome.failed = false;
+      return outcome;
+    } catch (const std::exception& e) {
+      outcome.error = e.what();
+      outcome.exception = std::current_exception();
+    } catch (...) {
+      outcome.error = "unknown exception";
+      outcome.exception = std::current_exception();
+    }
+    outcome.failed = true;
+    if (attempt > options.cell_retries) return outcome;
+  }
+}
+
+/// Carries outcomes from pool workers to the folding thread.  Pool tasks
+/// reference it (and the job and options they run), so the destructor
+/// waits until every submitted task has pushed: a shared pool outlives
+/// run_streaming, and returning or unwinding earlier would be a
+/// use-after-return.
+class Outcomes {
+ public:
+  ~Outcomes() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return live_ == 0; });
+  }
+
+  /// Runs execute_job(job) on `pool`; its outcome arrives through take().
+  void submit(ThreadPool& pool, const Job& job, std::uint64_t job_index,
+              const StreamOptions& options) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++live_;
+    }
+    try {
+      pool.submit([this, &job, job_index, &options] {
+        JobOutcome outcome = execute_job(job, job_index, options);
+        // Push, decrement and notify under one lock: once live_ hits zero
+        // with the mutex released, this task touches nothing here again,
+        // so the destructor's wakeup cannot race destruction.
+        std::lock_guard<std::mutex> lock(mutex_);
+        done_.push_back(std::move(outcome));
+        --live_;
+        cv_.notify_all();
+      });
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      --live_;
+      throw;
+    }
+  }
+
+  /// Takes every outcome pushed so far; with `wait`, first blocks until
+  /// there is at least one.
+  std::vector<JobOutcome> take(bool wait) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (wait) cv_.wait(lock, [&] { return !done_.empty(); });
+    return std::exchange(done_, {});
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<JobOutcome> done_;  ///< Guarded by mutex_.
+  std::size_t live_ = 0;  ///< Submitted tasks not yet pushed; mutex_.
+};
+
+/// Stage 3, the journal writer: appends an executed outcome — a result
+/// stamped with its cell hash, or a quarantine record a resume re-runs.
+void journal_outcome(const SweepSpec& spec, JobSource& source,
+                     const JobOutcome& outcome) {
+  const std::uint64_t seed = source.jobs[outcome.job_index].request.seed;
+  if (outcome.failed) {
+    source.journal->append_failed(outcome.job_index, seed,
+                                  {outcome.attempts, outcome.error});
+  } else {
+    source.journal->append(outcome.job_index, seed, outcome.result,
+                           cell_hash(spec, outcome.job_index / spec.replicates));
+  }
+}
+
+}  // namespace
+
 // -------------------------------------------------------------- SweepRunner ----
 
 SweepRunner::SweepRunner(std::uint32_t jobs)
@@ -468,144 +705,17 @@ SweepRunner::SweepRunner(std::uint32_t jobs)
 SweepResult SweepRunner::run(const SweepSpec& spec) const {
   SweepResult out;
   CollectSink sink(out);
-  const StreamStats stats = run_streaming(spec, sink);
-  out.jobs_used = stats.jobs_used;
-  out.tasks_stolen = stats.tasks_stolen;
-  out.wall_seconds = stats.wall_seconds;
+  run_streaming(spec, sink);
   return out;
 }
 
 StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
                                        const StreamOptions& options) const {
-  validate_axes(spec);
-  options.shard.validate();
-  if ((options.resume || options.resume_cells) &&
-      options.journal_path.empty()) {
-    throw std::invalid_argument("resume requires a journal path");
-  }
-  if (options.resume_cells && options.shard.count != 1) {
-    // A spec edit can change any cell, and stale records would be stranded
-    // in whichever shard's journal round-robin (or a cost plan) previously
-    // assigned them — per-cell resume is a single-journal operation.
-    throw std::invalid_argument(
-        "per-cell incremental resume requires an unsharded sweep");
-  }
-  if (options.stop != nullptr && options.journal_path.empty()) {
-    throw std::invalid_argument(
-        "a drainable run requires a journal (drain checkpoints into it)");
-  }
   const auto start = std::chrono::steady_clock::now();
-
-  const std::vector<Job> jobs = expand_jobs(spec);
-  const std::vector<std::uint64_t> owned =
-      owned_job_indices(spec, options.shard);
-
+  JobSource source = open_source(spec, options);
+  const std::vector<std::uint64_t>& owned = source.owned;
   StreamStats stats;
   stats.jobs_total = owned.size();
-
-  // The journal, and the already-done jobs a resume replays from it.
-  std::optional<Journal> journal;
-  std::unordered_map<std::uint64_t, JournalEntry> resumed;
-  // Per-cell identity hashes, stamped into every journaled payload so a
-  // later per-cell resume can tell live records from stale ones.
-  std::vector<std::uint64_t> cell_hashes;
-  if (!options.journal_path.empty()) {
-    cell_hashes.resize(spec.cell_count());
-    for (std::uint64_t cell = 0; cell < cell_hashes.size(); ++cell) {
-      cell_hashes[cell] = cell_hash(spec, cell);
-    }
-    JournalMeta meta;
-    meta.spec_hash = spec_hash(spec);
-    meta.job_count = jobs.size();
-    meta.base_seed = spec.base_seed;
-    meta.shard_index = options.shard.index;
-    meta.shard_count = options.shard.count;
-    const bool exists = file_exists(options.journal_path);
-    if (!options.resume && !options.resume_cells && exists) {
-      // Never silently truncate journaled work — it is exactly the data
-      // the journal exists to protect.
-      throw std::runtime_error(
-          "journal " + options.journal_path +
-          " already exists; resume it (--resume) or delete it to start "
-          "fresh");
-    }
-    if (options.resume_cells && exists) {
-      // Incremental re-sweep: rebind the journal to this spec's identity
-      // and keep exactly the records whose cell definition is unchanged.
-      // Stale records (edited cell, changed seed, broken payload) are
-      // simply not-done — the re-run appends supersede them.
-      journal.emplace(Journal::open_rebind(options.journal_path, meta));
-      for (const JournalEntry& entry : journal->index().entries) {
-        if (entry.job_index >= jobs.size()) continue;
-        if (!entry.payload_ok) continue;
-        if (entry.failed) {
-          resumed.erase(entry.job_index);
-          continue;
-        }
-        if (entry.seed != jobs[entry.job_index].request.seed) {
-          resumed.erase(entry.job_index);
-          continue;
-        }
-        std::uint64_t recorded = 0;
-        try {
-          journal->read_payload(entry, &recorded);
-        } catch (const std::exception&) {
-          resumed.erase(entry.job_index);
-          continue;
-        }
-        if (recorded != cell_hashes[entry.job_index / spec.replicates]) {
-          resumed.erase(entry.job_index);  // Pre-stamping (0) is also stale.
-          continue;
-        }
-        resumed[entry.job_index] = entry;  // Last wins.
-      }
-    } else if (options.resume && exists) {
-      journal.emplace(Journal::open_resume(options.journal_path, meta));
-      for (const JournalEntry& entry : journal->index().entries) {
-        check_entry_seed(options.journal_path, entry, jobs);
-        if (!options.shard.owns_cell(entry.job_index / spec.replicates)) {
-          throw std::runtime_error("journal " + options.journal_path +
-                                   ": records job " +
-                                   std::to_string(entry.job_index) +
-                                   " outside this shard");
-        }
-        if (!entry.payload_ok) continue;
-        if (entry.failed) {
-          // A quarantined job is not done — the resume re-runs it (and a
-          // success it journals supersedes the failure, last-record-wins).
-          resumed.erase(entry.job_index);
-        } else {
-          resumed[entry.job_index] = entry;  // Last wins.
-        }
-      }
-    } else {
-      journal.emplace(Journal::create(options.journal_path, meta));
-    }
-  }
-
-  // Completion plumbing must outlive the pool: if a sink throws mid-sweep,
-  // the pool's destructor still drains in-flight jobs, which push here.
-  // A job that throws (e.g. a missing/corrupt --replay trace) parks its
-  // exception instead of a result — letting it escape on a pool worker
-  // would std::terminate the process instead of the documented
-  // std::runtime_error -> nonzero-exit error path.
-  struct Completion {
-    std::uint64_t job_index = 0;
-    core::RunResult result;
-    std::uint32_t attempts = 1;  ///< Execution attempts, including retries.
-    bool failed = false;         ///< Every attempt threw.
-    std::string error_text;      ///< what() of the last attempt's exception.
-    std::exception_ptr error;    ///< Same exception, for the rethrow path.
-  };
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::vector<Completion> completed;
-  // Pool tasks whose lambda has not yet finished.  With a shared pool the
-  // pool outlives this call, so returning (or unwinding) while a task still
-  // references these stack locals would be use-after-return — the guard
-  // below waits for live == 0 on every exit path.  Tasks decrement and
-  // notify UNDER the mutex, so the guard cannot miss the last wakeup.
-  std::size_t live = 0;
 
   // A shared pool (the sweep service multiplexing requests) overrides the
   // private one; it only schedules — the fold below is grid-ordered either
@@ -613,216 +723,79 @@ StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
   std::optional<ThreadPool> owned_pool;
   if (options.pool == nullptr) owned_pool.emplace(jobs_);
   ThreadPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
-
-  struct LiveGuard {
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    const std::size_t& live;
-    ~LiveGuard() {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return live == 0; });
-    }
-  } live_guard{mutex, done_cv, live};
-
+  Outcomes outcomes;
   const std::size_t window =
       options.max_outstanding > 0
           ? options.max_outstanding
           : std::max<std::size_t>(16, std::size_t{4} * pool.worker_count());
 
+  // Stage 4, the grid-order fold, and its in-flight bookkeeping — all
+  // owned by this (the folding) thread.
   sink.begin(meta_of(spec));
-  CellFolder folder(spec, jobs, sink);
-
-  // In-flight bookkeeping, all owned by this (the folding) thread.
+  CellFolder folder(spec, source.jobs, sink);
   std::map<std::uint64_t, JobOutcome> resident;  // Done, not yet folded.
-  std::size_t next = 0;          // Next owned[] position to issue.
-  std::size_t fold_pos = 0;      // Next owned[] position to fold.
-  std::size_t outstanding = 0;   // Issued but not yet folded.
-  std::size_t inflight = 0;      // On the pool, completion not yet processed.
+  std::size_t next = 0;      // Next owned[] position to issue.
+  std::size_t fold_pos = 0;  // Next owned[] position to fold.
+  std::size_t inflight = 0;  // On the pool, outcome not yet taken.
   // Drain mode (StreamOptions::stop): stop issuing, journal what was
   // already issued, leave the rest for a resume.
   bool draining = false;
-
   const auto note_peak = [&] {
-    const std::size_t now = resident.size() + folder.partial_fill();
-    if (now > stats.peak_resident_results) stats.peak_resident_results = now;
+    stats.peak_resident_results = std::max(
+        stats.peak_resident_results, resident.size() + folder.partial_fill());
   };
 
   while (fold_pos < owned.size()) {
-    if (!draining && options.stop != nullptr &&
-        options.stop->load(std::memory_order_relaxed)) {
-      draining = true;
-    }
-    // Issue jobs while the outstanding window has room.  Journaled jobs
-    // replay straight into `resident`; fresh jobs go to the pool.
-    while (!draining && next < owned.size() && outstanding < window) {
-      const std::uint64_t job_index = owned[next];
-      ++next;
-      ++outstanding;
-      const auto it = resumed.find(job_index);
-      if (it != resumed.end()) {
-        JobOutcome outcome;
-        outcome.result = journal->read_payload(it->second);
-        resident.emplace(job_index, std::move(outcome));
+    draining = draining || (options.stop != nullptr &&
+                            options.stop->load(std::memory_order_relaxed));
+    // Issued-but-unfolded jobs (next - fold_pos) stay within the window.
+    // Journaled jobs replay straight into `resident`; the rest go to the pool.
+    while (!draining && next < owned.size() && next - fold_pos < window) {
+      const std::uint64_t job_index = owned[next++];
+      if (const std::optional<JournalEntry>& record = source.done[job_index]) {
+        resident.emplace(job_index, restore(*source.journal, *record));
         ++stats.jobs_resumed;
         note_peak();
       } else {
-        const Job& job = jobs[job_index];
-        // Self-healing execution: a job that throws is retried with
-        // bounded exponential backoff.  Retries are safe to the byte —
-        // jobs are pure functions of their RunRequest, so a retried job
-        // reproduces exactly what the failed attempt would have produced.
-        // Two failpoints make faults schedulable under any worker count:
-        // `cell.attempt` counts attempts process-wide (transient faults
-        // that heal on retry); `cell.job` matches the grid-order job index
-        // (permanent faults pinned to a cell regardless of scheduling).
-        const std::uint32_t max_attempts = options.cell_retries + 1;
-        const std::uint32_t backoff_ms = options.retry_backoff_ms;
-        const std::uint64_t deadline_ns = options.cell_timeout_ns;
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          ++live;  // Paired with the task's decrement; see LiveGuard.
-        }
-        try {
-          pool.submit([&job, job_index, max_attempts, backoff_ms, deadline_ns,
-                       &mutex, &done_cv, &completed, &live] {
-            Completion done;
-            done.job_index = job_index;
-            for (std::uint32_t attempt = 1;; ++attempt) {
-              done.attempts = attempt;
-              try {
-                if (attempt > 1 && backoff_ms > 0) {
-                  std::this_thread::sleep_for(std::chrono::milliseconds(
-                      retry_backoff_ms(backoff_ms, attempt - 1, job_index)));
-                }
-                if (const auto hit =
-                        failpoint::check_indexed("cell.job", job_index)) {
-                  if (hit.action == failpoint::Action::kDelay) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(hit.arg));
-                  } else {
-                    throw std::runtime_error(
-                        "job " + std::to_string(job_index) +
-                        ": injected fault (failpoint cell.job)");
-                  }
-                }
-                if (const auto hit = failpoint::check("cell.attempt")) {
-                  if (hit.action == failpoint::Action::kDelay) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(hit.arg));
-                  } else {
-                    throw std::runtime_error(
-                        "job " + std::to_string(job_index) +
-                        ": injected fault (failpoint cell.attempt)");
-                  }
-                }
-                {
-                  OBS_SPAN_N("sweep.job", "sweep", job_index);
-                  done.result = core::run_request(job.request, deadline_ns);
-                }
-                done.failed = false;
-                break;
-              } catch (const std::exception& e) {
-                done.failed = true;
-                done.error_text = e.what();
-                done.error = std::current_exception();
-              } catch (...) {
-                done.failed = true;
-                done.error_text = "unknown exception";
-                done.error = std::current_exception();
-              }
-              if (attempt >= max_attempts) break;
-            }
-            {
-              // Push, decrement and notify under one lock: once `live` hits
-              // zero with the mutex released, this task touches no capture
-              // again, so the LiveGuard's wakeup cannot race destruction.
-              std::lock_guard<std::mutex> lock(mutex);
-              completed.push_back(std::move(done));
-              --live;
-              done_cv.notify_all();
-            }
-          });
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          --live;
-          throw;
-        }
+        outcomes.submit(pool, source.jobs[job_index], job_index, options);
         ++stats.jobs_executed;
         ++inflight;
       }
     }
-
     // Draining and nothing left on the pool: every issued job has been
     // collected and journaled — checkpoint and leave.
     if (draining && inflight == 0) break;
 
-    // Collect finished jobs.  Block only when neither issuing nor folding
-    // can make progress — then some pool job is still running and its
-    // completion is the only possible next event.
-    std::vector<Completion> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (completed.empty()) {
-        const bool can_issue =
-            !draining && next < owned.size() && outstanding < window;
-        const bool can_fold =
-            fold_pos < owned.size() && resident.count(owned[fold_pos]) > 0;
-        if (!can_issue && !can_fold) {
-          done_cv.wait(lock, [&] { return !completed.empty(); });
-        }
-      }
-      batch.swap(completed);
-    }
-    for (Completion& done : batch) {
+    // Issuing is exhausted, so block only when folding cannot progress
+    // either — then some pool job is still running and its outcome is the
+    // only possible next event.
+    const bool blocked = resident.count(owned[fold_pos]) == 0;
+    for (JobOutcome& outcome : outcomes.take(blocked)) {
       --inflight;
-      stats.jobs_retried += done.attempts - 1;
-      const std::uint64_t seed = jobs[done.job_index].request.seed;
-      const std::uint64_t done_cell_hash =
-          journal ? cell_hashes[done.job_index / spec.replicates] : 0;
-      if (done.failed) {
-        // Out of retries.  Without quarantine, rethrow on this (the
-        // folding) thread, where callers expect sweep errors to surface —
-        // in-flight jobs drain through the pool destructor and their
-        // completions are simply dropped.  While draining, a failure is
-        // not an error: the job simply stays not-done and the resume
-        // re-runs it.  With quarantine, the failure becomes data:
-        // journaled (so a resume re-runs the job) and folded into the
-        // cell's `failed` section so the rest of the sweep completes.
-        if (!options.quarantine) {
-          if (draining) continue;
-          std::rethrow_exception(done.error);
-        }
-        ++stats.jobs_failed;
-        FailureRecord failure;
-        failure.attempts = done.attempts;
-        failure.error = done.error_text;
-        if (journal) journal->append_failed(done.job_index, seed, failure);
-        JobOutcome outcome;
-        outcome.failed = true;
-        outcome.attempts = done.attempts;
-        outcome.error = std::move(done.error_text);
-        resident.emplace(done.job_index, std::move(outcome));
-      } else {
-        if (journal) {
-          journal->append(done.job_index, seed, done.result, done_cell_hash);
-        }
-        JobOutcome outcome;
-        outcome.result = std::move(done.result);
-        outcome.attempts = done.attempts;
-        resident.emplace(done.job_index, std::move(outcome));
+      stats.jobs_retried += outcome.attempts - 1;
+      if (outcome.failed && !options.quarantine) {
+        // Out of retries: rethrow on this (the folding) thread, where
+        // callers expect sweep errors to surface.  While draining, a
+        // failure is not an error — the job stays not-done and the resume
+        // re-runs it.
+        if (draining) continue;
+        std::rethrow_exception(outcome.exception);
       }
+      // With quarantine the failure becomes data: journaled (so a resume
+      // re-runs the job) and folded into the cell's `failed` section.
+      if (outcome.failed) ++stats.jobs_failed;
+      if (source.journal) journal_outcome(spec, source, outcome);
+      const std::uint64_t job_index = outcome.job_index;
+      resident.emplace(job_index, std::move(outcome));
     }
     note_peak();
 
-    // Fold the contiguous completed prefix, in grid order.
     while (fold_pos < owned.size()) {
       const auto it = resident.find(owned[fold_pos]);
       if (it == resident.end()) break;
-      JobOutcome outcome = std::move(it->second);
+      folder.fold(std::move(it->second));
       resident.erase(it);
-      folder.fold(owned[fold_pos], std::move(outcome));
       ++fold_pos;
-      --outstanding;
     }
     if (options.progress != nullptr) {
       options.progress->store(static_cast<std::uint64_t>(fold_pos),
@@ -830,30 +803,12 @@ StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
     }
   }
 
-  if (draining) {
-    // Checkpoint: every issued completion is journaled; make it durable.
-    // The sink never sees end-of-stream — its output is torn by design
-    // (the caller discards it and resumes the journal later).
-    journal->sync();
-    journal->close();
-    stats.drained = true;
-    stats.jobs_used = pool.worker_count();
-    stats.tasks_stolen = pool.steal_count();
-    stats.cells_emitted = folder.cells_emitted();
-    stats.cells_failed = folder.cells_failed();
-    stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return stats;
-  }
-
-  if (owned_pool) {
-    owned_pool->wait_idle();  // All owned jobs folded: returns immediately.
-  }
-  sink.end();
-  if (journal) journal->close();
-
-  stats.jobs_used = pool.worker_count();
+  // A drained run checkpoints (close() syncs every issued completion) but
+  // never ends the stream: its sink output is torn by design, and the
+  // caller discards it and resumes the journal later.
+  stats.drained = draining;
+  if (!draining) sink.end();
+  if (source.journal) source.journal->close();
   stats.tasks_stolen = pool.steal_count();
   stats.cells_emitted = folder.cells_emitted();
   stats.cells_failed = folder.cells_failed();
@@ -879,7 +834,7 @@ StreamStats merge_journals(const SweepSpec& spec,
 
   std::vector<Journal> journals;
   journals.reserve(journal_paths.size());
-  // where[job] = (journal position, entry) of the winning record.
+  // where[job] = (journal position, record) of the record that merges.
   std::vector<std::optional<std::pair<std::size_t, JournalEntry>>> where(
       jobs.size());
 
@@ -896,21 +851,21 @@ StreamStats merge_journals(const SweepSpec& spec,
       throw std::runtime_error("journal " + path +
                                ": grid shape or base seed mismatch");
     }
-    for (const JournalEntry& entry : journal.index().entries) {
-      if (!entry.payload_ok) continue;  // Damaged payload: job is missing.
-      // Quarantine records participate like results: an unsuperseded
-      // failure folds into the report's `failed` section below (it is a
-      // recorded outcome, not a missing job), and a later success record
-      // in the same journal supersedes it via last-record-wins.
-      check_entry_seed(path, entry, jobs);
-      auto& slot = where[entry.job_index];
-      if (slot && slot->first != j) {
+    // Quarantine records participate like results: an unsuperseded
+    // failure folds into the report's `failed` section below (it is a
+    // recorded outcome, not a missing job).
+    for (const std::optional<JournalEntry>& record :
+         latest_records(journal, jobs.size())) {
+      if (!record) continue;
+      check_entry_seed(path, *record, jobs);
+      auto& slot = where[record->job_index];
+      if (slot) {
         throw std::runtime_error(
             "journals " + journal_paths[slot->first] + " and " + path +
-            " overlap at job " + std::to_string(entry.job_index) +
+            " overlap at job " + std::to_string(record->job_index) +
             " — shards must partition the grid");
       }
-      slot = std::make_pair(j, entry);  // Within one journal, last wins.
+      slot = std::make_pair(j, *record);
     }
     journals.push_back(std::move(journal));
   }
@@ -932,21 +887,12 @@ StreamStats merge_journals(const SweepSpec& spec,
 
   sink.begin(meta_of(spec));
   CellFolder folder(spec, jobs, sink);
-  for (std::uint64_t job_index = 0; job_index < jobs.size(); ++job_index) {
-    const auto& [journal_pos, entry] = *where[job_index];
-    JobOutcome outcome;
-    if (entry.failed) {
-      FailureRecord failure = journals[journal_pos].read_failure(entry);
-      outcome.failed = true;
-      outcome.attempts = failure.attempts;
-      outcome.error = std::move(failure.error);
-      ++stats.jobs_failed;
-    } else {
-      outcome.result = journals[journal_pos].read_payload(entry);
-    }
-    folder.fold(job_index, std::move(outcome));
-    const std::size_t now = folder.partial_fill();
-    if (now > stats.peak_resident_results) stats.peak_resident_results = now;
+  for (const auto& slot : where) {
+    JobOutcome outcome = restore(journals[slot->first], slot->second);
+    if (outcome.failed) ++stats.jobs_failed;
+    folder.fold(std::move(outcome));
+    stats.peak_resident_results = std::max<std::size_t>(
+        stats.peak_resident_results, folder.partial_fill());
   }
   sink.end();
 

@@ -119,8 +119,8 @@ std::uint64_t spec_hash(const SweepSpec& spec);
 /// per-replicate seeds, access budget, workload source — plus the cell's
 /// grid position (a reordered grid is a different binding of results to
 /// cells).  The per-cell analogue of spec_hash: journals stamp it into
-/// every job payload so an incremental re-sweep (StreamOptions::
-/// resume_cells) can keep journaled cells whose definition is unchanged
+/// every job payload so an incremental re-sweep (ResumeMode::kPerCell)
+/// can keep journaled cells whose definition is unchanged
 /// and re-run exactly the ones a spec edit invalidated.  Same caveat as
 /// spec_hash: a custom make_workload factory hashes by presence only.
 std::uint64_t cell_hash(const SweepSpec& spec, std::uint64_t cell_index);
@@ -184,12 +184,6 @@ struct SweepResult {
   std::uint64_t accesses_per_thread = 0;
   std::vector<CellResult> cells;
 
-  // Execution metadata.  Deliberately excluded from the JSON/CSV reports:
-  // they vary run to run while the science above must not.
-  std::uint32_t jobs_used = 1;
-  std::uint64_t tasks_stolen = 0;
-  double wall_seconds = 0.0;
-
   /// Looks up a cell; returns nullptr when absent.
   const CellResult* find(const std::string& workload,
                          const std::string& config_label,
@@ -248,39 +242,46 @@ std::vector<std::uint32_t> plan_shards(const std::vector<double>& cell_costs,
                                        std::uint32_t shard_count);
 
 /// Measured per-cell costs from a prior journal of the SAME GRID SHAPE:
-/// the sum of each cell's journaled per-job wall_ns (last record wins;
-/// quarantined or missing jobs contribute the mean measured job cost so a
-/// hole never zeroes a cell).  The journal does not need to match the
-/// spec's hash — costs are advisory (a cheaper timing run of the same grid
-/// plans a full run fine); a wrong cost model only unbalances shards, it
-/// never changes a byte of output.  Throws when the journal's job count
+/// the sum of each cell's journaled per-job wall_ns, read from each job's
+/// latest intact record (quarantined, unreadable, untimed or missing jobs
+/// contribute the mean measured job cost so a hole never zeroes a cell).
+/// The journal does not need to match the spec's hash — costs are
+/// advisory (a cheaper timing run of the same grid plans a full run fine);
+/// a wrong cost model only unbalances shards, it never changes a byte of
+/// output.  Throws when the journal's job count
 /// differs from the spec's.
 std::vector<double> cell_costs_from_journal(const SweepSpec& spec,
                                             const std::string& journal_path);
+
+/// What run_streaming does with an existing journal at
+/// StreamOptions::journal_path.  Every mode creates a missing journal.
+enum class ResumeMode {
+  /// An existing journal is an error: it is journaled work, and
+  /// truncating it silently would defeat the point.
+  kNone,
+  /// Jobs the journal records are not re-run; their results replay from
+  /// disk into the sink.  The journal's spec hash, shard and per-job seeds
+  /// must match `spec`.
+  kStrict,
+  /// Per-cell incremental resume: instead of refusing a journal whose spec
+  /// hash differs, rebind it (Journal::open_rebind) and keep exactly the
+  /// journaled jobs whose payload cell hash still matches cell_hash(spec,
+  /// cell) and whose seed matches the spec's derivation — every other job
+  /// re-runs and supersedes its stale record.  An unchanged spec resumes
+  /// everything (identical to kStrict); an edited spec re-runs only the
+  /// cells the edit invalidated.  Requires shard.count == 1 (a changed
+  /// grid cannot be re-partitioned against stale shard journals).
+  kPerCell,
+};
 
 /// Options for run_streaming().
 struct StreamOptions {
   /// When non-empty, every finished job is appended to this journal (plus
   /// its `.data` payload sidecar) so the sweep survives a kill -9.
-  /// Without `resume`, the journal must not already exist (an existing one
-  /// is journaled work; truncating it silently would defeat the point).
   std::string journal_path;
-  /// Resume from an existing journal at `journal_path`: jobs it records
-  /// are not re-run; their results replay from disk into the sink.  The
-  /// journal's spec hash, shard and per-job seeds must match `spec`.
-  bool resume = false;
-  /// Per-cell incremental resume (implies journal use; combine with
-  /// `resume` semantics): instead of refusing a journal whose spec hash
-  /// differs, rebind it (Journal::open_rebind) and keep exactly the
-  /// journaled jobs whose payload cell hash still matches cell_hash(spec,
-  /// cell) and whose seed matches the spec's derivation — every other job
-  /// re-runs and supersedes its stale record.  An unchanged spec resumes
-  /// everything (identical to `resume`); an edited spec re-runs only the
-  /// cells the edit invalidated.  Requires shard.count == 1 (a changed
-  /// grid cannot be re-partitioned against stale shard journals).  A
-  /// missing journal is created fresh, so one code path serves first run
-  /// and re-run.
-  bool resume_cells = false;
+  /// How an existing journal at `journal_path` is treated; every mode but
+  /// kNone requires a path.
+  ResumeMode resume = ResumeMode::kNone;
   ShardSpec shard;
   /// Upper bound on jobs in flight plus finished-but-unfolded results —
   /// the knob that makes peak residency O(jobs) instead of O(grid).
@@ -336,7 +337,6 @@ struct StreamOptions {
 /// reports (scheduling-dependent); `peak_resident_results` is the test
 /// hook that pins the O(jobs) residency guarantee.
 struct StreamStats {
-  std::uint32_t jobs_used = 1;
   std::uint64_t tasks_stolen = 0;
   double wall_seconds = 0.0;
   std::uint64_t jobs_total = 0;     ///< Jobs owned by this shard.
@@ -386,7 +386,8 @@ class SweepRunner {
   /// grid order into `sink` as its last replicate completes, then drops
   /// it.  With a journal path, finished jobs persist as they complete and
   /// `options.resume` skips already-journaled jobs.  Sink calls happen on
-  /// the calling thread.
+  /// the calling thread.  The stages (job source, attempt executor,
+  /// journal writer, grid-order fold) are mapped in docs/SWEEPS.md.
   StreamStats run_streaming(const SweepSpec& spec, ResultSink& sink,
                             const StreamOptions& options = {}) const;
 

@@ -140,7 +140,7 @@ void drive_request(const Spool& spool, const runner::SweepRunner& runner,
     // Always the incremental path: a fresh journal is created, an
     // interrupted one resumes, and a resubmitted-with-edits one re-runs
     // exactly the invalidated cells.
-    options.resume_cells = true;
+    options.resume = runner::ResumeMode::kPerCell;
     options.pool = &pool;
     options.stop = &stop;
     options.progress = &active.progress;

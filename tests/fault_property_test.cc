@@ -97,9 +97,9 @@ TEST_F(FaultProperty, EveryScheduleCompletesIdenticalOrResumesToReference) {
   const std::string reference = stream_json(spec, 1);
 
   // The schedule pool: every fault site the sweep path crosses, with the
-  // actions each can express.  Ordinals for fileio.pwrite start past the
-  // journal header writes — a fault while creating the journal itself is
-  // a start-over, not a resume (the header is the resume anchor).
+  // actions each can express.  Ordinals for fileio.pwrite and fileio.fsync
+  // start past the journal's creation; journal_test's
+  // Streaming.FaultWhileCreatingTheJournalLeavesItResumable covers that.
   struct Site {
     const char* name;
     const char* actions[3];
@@ -154,7 +154,7 @@ TEST_F(FaultProperty, EveryScheduleCompletesIdenticalOrResumesToReference) {
       EXPECT_NE(error.find("injected fault"), std::string::npos)
           << "schedule " << schedule << " failed with: " << error;
       runner::StreamOptions resume = options;
-      resume.resume = true;
+      resume.resume = runner::ResumeMode::kStrict;
       runner::StreamStats stats;
       EXPECT_EQ(stream_json(spec, 1, resume, &stats), reference)
           << "schedule " << schedule << " (failed with: " << error << ")";
@@ -236,7 +236,7 @@ TEST_F(FaultProperty, QuarantineEmitsStructuredFailureAndResumesToClean) {
   // Resume re-runs exactly the quarantined job and recovers the reference.
   runner::StreamOptions resume;
   resume.journal_path = journal;
-  resume.resume = true;
+  resume.resume = runner::ResumeMode::kStrict;
   runner::StreamStats resumed;
   EXPECT_EQ(stream_json(spec, 1, resume, &resumed), reference);
   EXPECT_EQ(resumed.jobs_executed, 1u);

@@ -870,12 +870,40 @@ TEST(Streaming, ResumeRejectsSeedDerivationMismatch) {
   }
   runner::StreamOptions options;
   options.journal_path = path;
-  options.resume = true;
+  options.resume = runner::ResumeMode::kStrict;
   std::ostringstream out;
   runner::JsonStreamSink sink(out);
   EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
                std::runtime_error);
   remove_journal(path);
+}
+
+TEST(Streaming, FaultWhileCreatingTheJournalLeavesItResumable) {
+  // A fault while the journal is created — opening its second file (open
+  // #2) or writing its header (pwrite #1) — must leave no journal or a
+  // valid empty one, so either resume mode finishes the sweep.
+  const auto spec = tiny_spec();
+  const std::string reference = stream_json(spec, 1);
+  for (const char* fault : {"fileio.open=err@2", "fileio.pwrite=err@1"}) {
+    for (const runner::ResumeMode mode :
+         {runner::ResumeMode::kStrict, runner::ResumeMode::kPerCell}) {
+      const std::string path = temp_path("journal");
+      remove_journal(path);
+      runner::StreamOptions options;
+      options.journal_path = path;
+      {
+        failpoint::Scoped guard(fault);
+        EXPECT_THROW(stream_json(spec, 1, options), std::runtime_error)
+            << fault;
+      }
+      options.resume = mode;
+      runner::StreamStats stats;
+      EXPECT_EQ(stream_json(spec, 1, options, &stats), reference) << fault;
+      EXPECT_EQ(stats.jobs_executed, spec.job_count()) << fault;
+      remove_journal(path);
+      std::remove((path + ".tmp").c_str());
+    }
+  }
 }
 
 // -------------------------------------------------- crash-resume property ----
@@ -916,7 +944,7 @@ TEST(Streaming, ResumeFromAnyKillPointReproducesTheReport) {
 
     runner::StreamOptions resume;
     resume.journal_path = crash;
-    resume.resume = true;
+    resume.resume = runner::ResumeMode::kStrict;
     runner::StreamStats stats;
     EXPECT_EQ(stream_json(spec, 3, resume, &stats), reference)
         << "kill point " << k << ", trial " << trial;
@@ -963,7 +991,7 @@ TEST(ResumeCells, EditedConfigRerunsOnlyItsCells) {
   remove_journal(path);
   runner::StreamOptions options;
   options.journal_path = path;
-  options.resume_cells = true;  // Missing journal: created fresh.
+  options.resume = runner::ResumeMode::kPerCell;  // Missing: created fresh.
   runner::StreamStats stats;
   stream_json(spec, 2, options, &stats);
   EXPECT_EQ(stats.jobs_executed, spec.job_count());
@@ -992,10 +1020,10 @@ TEST(ResumeCells, SeedChangeRebindsAndRerunsEverything) {
   remove_journal(path);
   runner::StreamOptions options;
   options.journal_path = path;
-  options.resume_cells = true;
+  options.resume = runner::ResumeMode::kPerCell;
   stream_json(spec, 2, options);
 
-  // resume_cells rebinds instead of refusing: the new base seed
+  // Per-cell resume rebinds instead of refusing: the new base seed
   // invalidates every recorded job, so the whole grid re-runs, and the
   // journal is durably re-stamped for the new identity.
   auto reseeded = spec;
@@ -1019,13 +1047,139 @@ TEST(ResumeCells, RequiresUnshardedRunWithJournal) {
   std::ostringstream out;
   runner::JsonStreamSink sink(out);
   runner::StreamOptions options;
-  options.resume_cells = true;  // No journal path.
+  options.resume = runner::ResumeMode::kPerCell;  // No journal path.
   EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
                std::invalid_argument);
   options.journal_path = temp_path("journal");
   options.shard = {1, 2, {}};
   EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
                std::invalid_argument);
+}
+
+// ------------------------------------------ one rule for reading a journal ----
+//
+// Strict resume, per-cell resume, merge and cost planning all read each
+// job's latest record whose payload verified, then apply their own rule.
+
+/// Journals a full run of `spec` at `path`, then appends one more record
+/// for job 0: a quarantine record, or a result whose payload is then
+/// damaged.
+void journal_with_trailing_record(const runner::SweepSpec& spec,
+                                  const std::string& path, bool failure) {
+  remove_journal(path);
+  runner::StreamOptions options;
+  options.journal_path = path;
+  stream_json(spec, 2, options);
+
+  runner::JournalMeta meta;
+  meta.spec_hash = runner::spec_hash(spec);
+  meta.job_count = spec.job_count();
+  meta.base_seed = spec.base_seed;
+  const std::uint64_t seed = runner::expand_jobs(spec)[0].request.seed;
+  auto journal = runner::Journal::open_resume(path, meta);
+  if (failure) {
+    journal.append_failed(0, seed, {1, "injected"});
+  } else {
+    journal.append(0, seed, sample_result(0), runner::cell_hash(spec, 0));
+  }
+  journal.close();
+  if (!failure) {
+    const runner::JournalIndex index = runner::Journal::load_index(path);
+    flip_byte(runner::journal_data_path(path),
+              index.entries.back().payload_offset + 1);
+  }
+}
+
+/// wall_ns of every job's intact result record, by job index.
+std::vector<double> journaled_wall_ns(const runner::SweepSpec& spec,
+                                      const std::string& path) {
+  const runner::Journal journal = runner::Journal::open_read(path);
+  std::vector<double> wall(spec.job_count(), 0.0);
+  for (const runner::JournalEntry& entry : journal.index().entries) {
+    if (!entry.payload_ok || entry.failed) continue;
+    wall[entry.job_index] =
+        static_cast<double>(journal.read_payload(entry).wall_ns);
+  }
+  return wall;
+}
+
+void copy_journal(const std::string& from, const std::string& to) {
+  write_file_durable(to, read_file(from));
+  write_file_durable(runner::journal_data_path(to),
+                     read_file(runner::journal_data_path(from)));
+}
+
+TEST(JournalReadRule, DamagedRecordNeverHidesAnEarlierIntactOne) {
+  const auto spec = tiny_spec();
+  const std::string reference = stream_json(spec, 2);
+  const std::string path = temp_path("journal");
+  journal_with_trailing_record(spec, path, /*failure=*/false);
+  ASSERT_FALSE(runner::Journal::load_index(path).entries.back().payload_ok);
+
+  // Cost planning measures job 0 from its intact record, not the mean.
+  const std::vector<double> wall = journaled_wall_ns(spec, path);
+  ASSERT_GT(wall[0], 0.0);
+  const std::vector<double> costs = runner::cell_costs_from_journal(spec, path);
+  EXPECT_DOUBLE_EQ(costs[0], wall[0] + wall[1]);
+
+  std::ostringstream merged;
+  runner::JsonStreamSink sink(merged);
+  EXPECT_EQ(runner::merge_journals(spec, {path}, sink).jobs_failed, 0u);
+  EXPECT_EQ(merged.str(), reference);
+
+  for (const runner::ResumeMode mode :
+       {runner::ResumeMode::kPerCell, runner::ResumeMode::kStrict}) {
+    runner::StreamOptions options;
+    options.journal_path = path;
+    options.resume = mode;
+    runner::StreamStats stats;
+    EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
+    EXPECT_EQ(stats.jobs_executed, 0u);
+    EXPECT_EQ(stats.jobs_resumed, spec.job_count());
+  }
+  remove_journal(path);
+}
+
+TEST(JournalReadRule, LaterFailureRecordSupersedesAnEarlierSuccess) {
+  const auto spec = tiny_spec();
+  const std::string reference = stream_json(spec, 2);
+  const std::string path = temp_path("journal");
+  journal_with_trailing_record(spec, path, /*failure=*/true);
+
+  // Cost planning: a failure carries no wall clock, so job 0 takes the
+  // mean of the measured jobs.
+  const std::vector<double> wall = journaled_wall_ns(spec, path);
+  double total = 0.0;
+  for (std::size_t j = 1; j < wall.size(); ++j) total += wall[j];
+  const double mean = total / static_cast<double>(wall.size() - 1);
+  const std::vector<double> costs = runner::cell_costs_from_journal(spec, path);
+  EXPECT_DOUBLE_EQ(costs[0], mean + wall[1]);
+
+  // Merge folds it as a degraded cell.
+  std::ostringstream merged;
+  runner::JsonStreamSink sink(merged);
+  const runner::StreamStats merge = runner::merge_journals(spec, {path}, sink);
+  EXPECT_EQ(merge.jobs_failed, 1u);
+  EXPECT_EQ(merge.cells_failed, 1u);
+  EXPECT_NE(merged.str().find("\"failed\""), std::string::npos);
+
+  // Both resumes re-run the job (each on its own copy: the re-run's
+  // success supersedes the failure).
+  for (const runner::ResumeMode mode :
+       {runner::ResumeMode::kStrict, runner::ResumeMode::kPerCell}) {
+    const std::string copy = temp_path("copy");
+    remove_journal(copy);
+    copy_journal(path, copy);
+    runner::StreamOptions options;
+    options.journal_path = copy;
+    options.resume = mode;
+    runner::StreamStats stats;
+    EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
+    EXPECT_EQ(stats.jobs_executed, 1u);
+    EXPECT_EQ(stats.jobs_resumed, spec.job_count() - 1);
+    remove_journal(copy);
+  }
+  remove_journal(path);
 }
 
 // ------------------------------------------------------- loud I/O failure ----

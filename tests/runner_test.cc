@@ -242,7 +242,6 @@ TEST(SweepRunner, OutputIsIdenticalAtAnyJobCount) {
   const auto spec = tiny_spec();
   const auto serial = runner::SweepRunner(1).run(spec);
   const auto parallel = runner::SweepRunner(8).run(spec);
-  EXPECT_EQ(parallel.jobs_used, 8u);
   EXPECT_EQ(runner::to_json(serial), runner::to_json(parallel));
   EXPECT_EQ(runner::to_csv(serial), runner::to_csv(parallel));
 

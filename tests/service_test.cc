@@ -372,7 +372,7 @@ TEST(ServiceDrain, StopCheckpointsAndResumeIsByteIdentical) {
   std::atomic<bool> stop{true};
   runner::StreamOptions options;
   options.journal_path = journal;
-  options.resume_cells = true;
+  options.resume = runner::ResumeMode::kPerCell;
   options.stop = &stop;
   runner::StreamStats stats;
   stream_json(spec, 2, options, &stats);
