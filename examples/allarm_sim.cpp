@@ -8,7 +8,7 @@
 //   --mode MODE          baseline | allarm | both (default both)
 //   --accesses N         ROI accesses per thread (default 30000)
 //   --pf-kb N            probe-filter coverage per node in kB (default 512)
-//   --pf-ways N          probe-filter associativity (default 4)
+//   --pf-ways N          probe-filter associativity, 1..255 (default 4)
 //   --policy P           first-touch | interleave (default first-touch)
 //   --eviction-buffer    drain directory victims off the critical path
 //   --serial-probe       disable ALLARM's speculative-DRAM latency hiding
@@ -68,6 +68,9 @@ struct Options {
   std::exit(code);
 }
 
+// Largest value of the 32-bit option fields; --pf-kb is scaled by 1024.
+constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
+
 Options parse(int argc, char** argv) {
   Options o;
   auto value = [&](int& i) -> const char* {
@@ -81,12 +84,15 @@ Options parse(int argc, char** argv) {
     else if (a == "--trace") o.trace = value(i);
     else if (a == "--mode") o.mode = value(i);
     else if (a == "--accesses") o.accesses = cli::parse_u64(a.c_str(), value(i));
-    else if (a == "--pf-kb") o.pf_kb = cli::parse_u64(a.c_str(), value(i));
-    else if (a == "--pf-ways") o.pf_ways = cli::parse_u64(a.c_str(), value(i));
+    else if (a == "--pf-kb")
+      o.pf_kb = cli::parse_u64_max(a.c_str(), value(i), kMaxU32 / 1024);
+    else if (a == "--pf-ways")
+      o.pf_ways = cli::parse_u64_max(a.c_str(), value(i), kMaxU32);
     else if (a == "--policy") o.policy = value(i);
     else if (a == "--eviction-buffer") o.eviction_buffer = true;
     else if (a == "--serial-probe") o.serial_probe = true;
-    else if (a == "--migrate-us") o.migrate_us = cli::parse_u64(a.c_str(), value(i));
+    else if (a == "--migrate-us")
+      o.migrate_us = cli::parse_u64_max(a.c_str(), value(i), kMaxU32);
     else if (a == "--seed") o.seed = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--full-stats") o.full_stats = true;
     else if (a == "--profile") o.profile = true;

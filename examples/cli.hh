@@ -27,4 +27,15 @@ inline std::uint64_t parse_u64(const char* flag, const std::string& text) {
   std::exit(2);
 }
 
+/// parse_u64() for a flag whose destination holds at most `max`: a larger
+/// value exits 2 the same way instead of being truncated.
+inline std::uint64_t parse_u64_max(const char* flag, const std::string& text,
+                                   std::uint64_t max) {
+  const std::uint64_t value = parse_u64(flag, text);
+  if (value <= max) return value;
+  std::cerr << flag << ": " << text << " is out of range (at most " << max
+            << ")\n";
+  std::exit(2);
+}
+
 }  // namespace allarm::cli

@@ -9,8 +9,9 @@
 #                      the sweep/sink/journal/sim span categories;
 #  3. sim timeline   - allarm_sim --timeline writes valid JSON with the sim
 #                      category;
-#  4. bad flags      - allarm_sim rejects an unknown --mode or --policy,
-#                      and sweep/allarm_sim/allarm_serve reject malformed
+#  4. bad flags      - allarm_sim rejects an unknown --mode or --policy
+#                      and probe-filter geometry that does not fit, and
+#                      sweep/allarm_sim/allarm_serve reject malformed
 #                      integer values, with exit 2 and no report instead
 #                      of running something else;
 #  5. profile        - --profile adds a hist section with p50/p95/p99 for
@@ -96,6 +97,14 @@ expect_exit2 "$WORK/none" "$SIM" --accesses 100 --seed 12abc
 # allarm_sim's report is its stdout.
 [ ! -s "$WORK/refused.out" ] \
     || { echo "FAIL: allarm_sim --seed 12abc printed a report"; exit 1; }
+# Probe-filter geometry: zero ways (a division by zero in validation), a
+# way count the 32-bit field would truncate to 0, and a size whose kB-to-
+# bytes scaling would wrap to the default filter.
+for bad in "--pf-ways 0" "--pf-ways 4294967296" "--pf-kb 4194816"; do
+    expect_exit2 "$WORK/none" "$SIM" --benchmark ocean-cont --accesses 100 $bad
+    [ ! -s "$WORK/refused.out" ] \
+        || { echo "FAIL: allarm_sim $bad printed a report"; exit 1; }
+done
 for bad in -5 abc; do
     expect_exit2 "$WORK/bad.json" "$SWEEP" --grid quick --seeds 1 \
         --accesses "$bad" --out "$WORK/bad.json"

@@ -20,50 +20,42 @@ Cache::Cache(const CacheConfig& config, ReplacementKind replacement,
     : sets_(config.sets()),
       ways_(config.ways),
       name_(std::move(name)),
-      slots_(static_cast<std::size_t>(config.sets()) * config.ways),
+      slots_(static_cast<std::size_t>(config.sets()) * config.ways, 0),
       policy_(make_policy(replacement, config.sets(), config.ways, seed)) {
   if (replacement == ReplacementKind::kLru) {
     lru_ = static_cast<LruPolicy*>(policy_.get());
   }
 }
 
-Cache::Slot* Cache::find_slot(LineAddr line) {
-  Slot* base = &slots_[static_cast<std::size_t>(set_of(line)) * ways_];
+std::uint64_t* Cache::find_way(LineAddr line) {
+  std::uint64_t* base = set_base(set_of(line));
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (is_valid(base[w].state) && base[w].line == line) return &base[w];
+    if (holds(base[w], line)) return &base[w];
   }
   return nullptr;
 }
 
-const Cache::Slot* Cache::find_slot(LineAddr line) const {
-  return const_cast<Cache*>(this)->find_slot(line);
-}
-
 LineState Cache::state_of(LineAddr line) const {
-  const Slot* s = find_slot(line);
-  return s ? s->state : LineState::kInvalid;
+  const std::uint64_t* way = const_cast<Cache*>(this)->find_way(line);
+  return way ? state_of_way(*way) : LineState::kInvalid;
 }
 
-bool Cache::touch(LineAddr line) {
-  return touch_ref(line) != nullptr;
-}
-
-LineState* Cache::touch_ref(LineAddr line) {
-  Slot* s = find_slot(line);
-  if (!s) return nullptr;
-  const auto way = static_cast<std::uint32_t>(
-      s - &slots_[static_cast<std::size_t>(set_of(line)) * ways_]);
-  policy_touch(set_of(line), way);
-  return &s->state;
+StateRef Cache::touch_ref(LineAddr line) {
+  std::uint64_t* way = find_way(line);
+  if (way != nullptr) {
+    const std::uint32_t set = set_of(line);
+    policy_touch(set, static_cast<std::uint32_t>(way - set_base(set)));
+  }
+  return StateRef(way);
 }
 
 bool Cache::set_state(LineAddr line, LineState state) {
   if (state == LineState::kInvalid) {
     throw std::invalid_argument("Cache::set_state: use erase() to invalidate");
   }
-  Slot* s = find_slot(line);
-  if (!s) return false;
-  s->state = state;
+  const StateRef ref = state_ref(line);
+  if (!ref) return false;
+  ref.set(state);
   return true;
 }
 
@@ -72,19 +64,19 @@ Victim Cache::insert(LineAddr line, LineState state) {
     throw std::invalid_argument("Cache::insert: invalid state");
   }
   const std::uint32_t set = set_of(line);
-  Slot* base = &slots_[static_cast<std::size_t>(set) * ways_];
+  std::uint64_t* base = set_base(set);
 
   // One scan: find the first free way while guarding against duplicates.
   std::uint32_t free_way = ways_;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (!is_valid(base[w].state)) {
+    if (base[w] == 0) {
       if (free_way == ways_) free_way = w;
-    } else if (base[w].line == line) {
+    } else if (holds(base[w], line)) {
       throw std::logic_error("Cache::insert: line already present in " + name_);
     }
   }
   if (free_way != ways_) {
-    base[free_way] = Slot{line, state};
+    base[free_way] = pack(line, state);
     policy_touch(set, free_way);
     ++occupancy_;
     if (presence_ != nullptr) presence_->add(line);
@@ -94,8 +86,8 @@ Victim Cache::insert(LineAddr line, LineState state) {
   // Evict a victim (all ways eligible: caches never pin lines; the probe
   // filter, which does pin busy lines, selects victims itself).
   const std::uint32_t w = policy_victim_any(set);
-  const Victim victim{base[w].line, base[w].state};
-  base[w] = Slot{line, state};
+  const Victim victim{line_of_way(base[w]), state_of_way(base[w])};
+  base[w] = pack(line, state);
   policy_touch(set, w);
   if (presence_ != nullptr) {
     presence_->add(line);
@@ -105,25 +97,25 @@ Victim Cache::insert(LineAddr line, LineState state) {
 }
 
 LineState Cache::erase(LineAddr line) {
-  Slot* s = find_slot(line);
-  if (!s) return LineState::kInvalid;
-  const LineState had = s->state;
-  s->state = LineState::kInvalid;
+  std::uint64_t* way = find_way(line);
+  if (!way) return LineState::kInvalid;
+  const LineState had = state_of_way(*way);
+  *way = 0;
   --occupancy_;
   if (presence_ != nullptr) presence_->remove(line);
   return had;
 }
 
 void Cache::for_each(FunctionRef<void(LineAddr, LineState)> fn) const {
-  for (const Slot& s : slots_) {
-    if (is_valid(s.state)) fn(s.line, s.state);
+  for (const std::uint64_t way : slots_) {
+    if (way != 0) fn(line_of_way(way), state_of_way(way));
   }
 }
 
 void Cache::clear() {
-  for (Slot& s : slots_) {
-    if (presence_ != nullptr && is_valid(s.state)) presence_->remove(s.line);
-    s.state = LineState::kInvalid;
+  for (std::uint64_t& way : slots_) {
+    if (presence_ != nullptr && way != 0) presence_->remove(line_of_way(way));
+    way = 0;
   }
   occupancy_ = 0;
 }

@@ -49,6 +49,25 @@ struct Victim {
   bool valid() const { return is_valid(state); }
 };
 
+/// Handle to one present line's state inside its packed way word (null
+/// when the line is absent), as the single-scan lookups return it.  Valid
+/// until the array next changes.
+class StateRef {
+ public:
+  explicit StateRef(std::uint64_t* way = nullptr) : way_(way) {}
+  explicit operator bool() const { return way_ != nullptr; }
+  LineState get() const { return static_cast<LineState>(*way_ & kMask); }
+  /// `state` must be valid (erase() invalidates).
+  void set(LineState state) const {
+    *way_ = (*way_ & ~kMask) | static_cast<std::uint64_t>(state);
+  }
+
+  static constexpr std::uint64_t kMask = 7;  ///< A way's state bits.
+
+ private:
+  std::uint64_t* way_;
+};
+
 /// One set-associative array.
 class Cache {
  public:
@@ -68,24 +87,20 @@ class Cache {
   bool contains(LineAddr line) const { return is_valid(state_of(line)); }
 
   /// Marks `line` as accessed (replacement bookkeeping). Returns true on hit.
-  bool touch(LineAddr line);
+  bool touch(LineAddr line) { return static_cast<bool>(touch_ref(line)); }
 
-  /// touch(), but returns a mutable pointer to the line's state (nullptr on
-  /// miss) so the core's load/store hit path can rewrite the state without
-  /// a second tag scan.
-  LineState* touch_ref(LineAddr line);
+  /// touch(), but returns a handle to the line's state (null on miss) so
+  /// the core's load/store hit path can rewrite the state without a
+  /// second tag scan.
+  StateRef touch_ref(LineAddr line);
 
   /// Changes the state of a present line. Returns false when absent.
   bool set_state(LineAddr line, LineState state);
 
-  /// Mutable pointer to the line's state (nullptr when absent).  No
-  /// replacement bookkeeping — the single-scan backend of state rewrites
-  /// like Hierarchy::downgrade.  Callers must not write kInvalid through
-  /// the pointer (that is erase()'s job).
-  LineState* state_ref(LineAddr line) {
-    Slot* s = find_slot(line);
-    return s ? &s->state : nullptr;
-  }
+  /// Handle to the line's state (null when absent).  No replacement
+  /// bookkeeping — the single-scan backend of state rewrites like
+  /// Hierarchy::downgrade.
+  StateRef state_ref(LineAddr line) { return StateRef(find_way(line)); }
 
   /// Registers the hierarchy-level presence filter this array reports its
   /// inserts and erases to (nullptr detaches).
@@ -109,20 +124,32 @@ class Cache {
   void clear();
 
  private:
-  struct Slot {
-    LineAddr line = 0;
-    LineState state = LineState::kInvalid;
-  };
+  // A way is one word, `line << 3 | state`; 0 is an invalid way.  Lines
+  // are full-width (byte addresses >> 6 always leave the top bits clear).
+  static std::uint64_t pack(LineAddr line, LineState state) {
+    return line << 3 | static_cast<std::uint64_t>(state);
+  }
+  static LineAddr line_of_way(std::uint64_t way) { return way >> 3; }
+  static LineState state_of_way(std::uint64_t way) {
+    return static_cast<LineState>(way & StateRef::kMask);
+  }
+  /// True when `way` holds `line` in a valid state: the XOR clears the tag
+  /// bits exactly when the lines match, leaving a state in 1..7.
+  static bool holds(std::uint64_t way, LineAddr line) {
+    return (way ^ (line << 3)) - 1 < StateRef::kMask;
+  }
 
   std::uint32_t set_of(LineAddr line) const {
     return static_cast<std::uint32_t>(line & (sets_ - 1));
   }
-  Slot* find_slot(LineAddr line);
-  const Slot* find_slot(LineAddr line) const;
+  std::uint64_t* set_base(std::uint32_t set) {
+    return &slots_[static_cast<std::size_t>(set) * ways_];
+  }
+  std::uint64_t* find_way(LineAddr line);
 
   /// Replacement-policy calls run on every access; when the policy is the
   /// default LRU these route through the exact (final) type so the
-  /// compiler inlines the stamp update instead of an indirect call.
+  /// compiler inlines the counter update instead of an indirect call.
   void policy_touch(std::uint32_t set, std::uint32_t way) {
     if (lru_ != nullptr) lru_->touch(set, way);
     else policy_->touch(set, way);
@@ -134,7 +161,7 @@ class Cache {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::string name_;
-  std::vector<Slot> slots_;  // sets x ways
+  std::vector<std::uint64_t> slots_;  // sets x ways, packed
   std::unique_ptr<ReplacementPolicy> policy_;
   LruPolicy* lru_ = nullptr;  ///< Non-null iff policy_ is the LRU policy.
   PresenceFilter* presence_ = nullptr;  ///< Shared, owned by the hierarchy.

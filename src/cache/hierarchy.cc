@@ -47,10 +47,10 @@ void Hierarchy::touch(LineAddr line) {
   if (!l1d_.touch(line) && !l1i_.touch(line)) l2_.touch(line);
 }
 
-LineState* Hierarchy::touch_ref(LineAddr line) {
-  if (!presence_.maybe_present(line)) return nullptr;
-  if (LineState* s = l1d_.touch_ref(line)) return s;
-  if (LineState* s = l1i_.touch_ref(line)) return s;
+StateRef Hierarchy::touch_ref(LineAddr line) {
+  if (!presence_.maybe_present(line)) return StateRef();
+  if (StateRef s = l1d_.touch_ref(line)) return s;
+  if (StateRef s = l1i_.touch_ref(line)) return s;
   return l2_.touch_ref(line);
 }
 
@@ -98,22 +98,22 @@ LineState Hierarchy::invalidate(LineAddr line) {
   return l1i_.erase(line);
 }
 
-/// Mutable state slot of `line`, or nullptr — one presence check and at
-/// most three tag scans, shared by downgrade/set_state so a hit is a
-/// single pass instead of locate()-then-rescan.
-LineState* Hierarchy::state_ref(LineAddr line) {
-  if (!presence_.maybe_present(line)) return nullptr;
-  if (LineState* s = l1d_.state_ref(line)) return s;
-  if (LineState* s = l1i_.state_ref(line)) return s;
+/// State handle of `line`, or null — one presence check and at most three
+/// tag scans, shared by downgrade/set_state so a hit is a single pass
+/// instead of locate()-then-rescan.
+StateRef Hierarchy::state_ref(LineAddr line) {
+  if (!presence_.maybe_present(line)) return StateRef();
+  if (StateRef s = l1d_.state_ref(line)) return s;
+  if (StateRef s = l1i_.state_ref(line)) return s;
   return l2_.state_ref(line);
 }
 
 LineState Hierarchy::downgrade(LineAddr line) {
-  LineState* s = state_ref(line);
-  if (s == nullptr) return LineState::kInvalid;
-  const LineState had = *s;
-  if (had == LineState::kModified) *s = LineState::kOwned;
-  else if (had == LineState::kExclusive) *s = LineState::kShared;
+  const StateRef s = state_ref(line);
+  if (!s) return LineState::kInvalid;
+  const LineState had = s.get();
+  if (had == LineState::kModified) s.set(LineState::kOwned);
+  else if (had == LineState::kExclusive) s.set(LineState::kShared);
   return had;
 }
 
@@ -122,9 +122,9 @@ bool Hierarchy::set_state(LineAddr line, LineState state) {
     throw std::invalid_argument(
         "Hierarchy::set_state: use invalidate() to remove a line");
   }
-  LineState* s = state_ref(line);
-  if (s == nullptr) return false;
-  *s = state;
+  const StateRef s = state_ref(line);
+  if (!s) return false;
+  s.set(state);
   return true;
 }
 

@@ -42,9 +42,9 @@ class Hierarchy {
   /// Replacement bookkeeping for a hit on `line`.
   void touch(LineAddr line);
 
-  /// touch(), returning a mutable pointer to the line's state (nullptr when
-  /// absent).  Single tag scan for the core's L1-hit fast path.
-  LineState* touch_ref(LineAddr line);
+  /// touch(), returning a handle to the line's state (null when absent).
+  /// Single tag scan for the core's L1-hit fast path.
+  StateRef touch_ref(LineAddr line);
 
   /// Inserts `line` into `target` (must be kL1D or kL1I, and the line must
   /// be absent).  Returns the lines pushed out of the hierarchy, oldest
@@ -71,9 +71,9 @@ class Hierarchy {
   /// `state` must be valid (use invalidate() to remove a line).
   bool set_state(LineAddr line, LineState state);
 
-  /// Mutable pointer to a present line's state (nullptr when absent); no
-  /// replacement bookkeeping.  Do not write kInvalid through it.
-  LineState* state_ref(LineAddr line);
+  /// Handle to a present line's state (null when absent); no replacement
+  /// bookkeeping.
+  StateRef state_ref(LineAddr line);
 
   /// Applies `fn(line, state)` over every line in the hierarchy.
   void for_each(FunctionRef<void(LineAddr, LineState)> fn) const;

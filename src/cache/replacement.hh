@@ -33,19 +33,28 @@ class ReplacementPolicy {
   virtual std::uint32_t victim_any(std::uint32_t set) = 0;
 };
 
-/// True LRU via per-way access stamps.
+/// True LRU via one-byte per-way recency counters.
+///
+/// 0 means never touched; the touched ways of a set hold distinct values
+/// with `ways` the most recent, so the victim -- the first way holding the
+/// minimum -- is the same way a global access-stamp LRU picks, ties among
+/// never-touched ways included.  Counters are bytes, so at most kMaxWays.
 ///
 /// touch() and victim_any() are defined inline: they run on every cache
 /// access, and arrays that detect an LruPolicy at construction call them
 /// through the exact type (Cache's devirtualized fast path) so the
-/// per-touch cost is one store and an increment, no indirect call.
+/// per-touch cost is a few byte compares, no indirect call.
 class LruPolicy final : public ReplacementPolicy {
  public:
-  LruPolicy(std::uint32_t sets, std::uint32_t ways)
-      : ways_(ways), stamp_(static_cast<std::size_t>(sets) * ways, 0) {}
+  LruPolicy(std::uint32_t sets, std::uint32_t ways);
 
   void touch(std::uint32_t set, std::uint32_t way) override {
-    stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+    std::uint8_t* rank = &rank_[static_cast<std::size_t>(set) * ways_];
+    const std::uint8_t old = rank[way];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (rank[w] > old) --rank[w];
+    }
+    rank[way] = static_cast<std::uint8_t>(ways_);
   }
 
   std::uint32_t victim(std::uint32_t set,
@@ -53,24 +62,18 @@ class LruPolicy final : public ReplacementPolicy {
 
   std::uint32_t victim_any(std::uint32_t set) override {
     // Identical selection to victim() with every way eligible: the first
-    // way holding the minimum stamp.
-    const std::uint64_t* stamps =
-        &stamp_[static_cast<std::size_t>(set) * ways_];
+    // way holding the minimum counter.
+    const std::uint8_t* rank = &rank_[static_cast<std::size_t>(set) * ways_];
     std::uint32_t best = 0;
-    std::uint64_t best_stamp = stamps[0];
     for (std::uint32_t w = 1; w < ways_; ++w) {
-      if (stamps[w] < best_stamp) {
-        best = w;
-        best_stamp = stamps[w];
-      }
+      if (rank[w] < rank[best]) best = w;
     }
     return best;
   }
 
  private:
   std::uint32_t ways_;
-  std::uint64_t clock_ = 0;
-  std::vector<std::uint64_t> stamp_;  // sets x ways
+  std::vector<std::uint8_t> rank_;  // sets x ways
 };
 
 /// Tree pseudo-LRU.  Ways must be a power of two; falls back to the

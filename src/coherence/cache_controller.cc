@@ -109,10 +109,10 @@ void CacheController::core_access(AccessType type, Addr paddr, DoneFn done) {
         hierarchy_.set_state(line, LineState::kModified);
       } else {
         // The common L1 hit: one combined tag-scan/touch, and stores
-        // rewrite the state through the returned reference.
-        cache::LineState* state_ref = hierarchy_.touch_ref(line);
+        // rewrite the state through the returned handle.
+        const cache::StateRef state = hierarchy_.touch_ref(line);
         ++stats_.l1_hits;
-        if (write) *state_ref = LineState::kModified;
+        if (write) state.set(LineState::kModified);
       }
       done(t);
       return;

@@ -104,6 +104,9 @@ void ProbeFilter::insert(LineAddr line, PfState state, NodeId owner) {
   if (state == PfState::kInvalid) {
     throw std::invalid_argument("ProbeFilter::insert: invalid state");
   }
+  if (line >> PfEntry::kLineFieldBits != 0) {
+    throw std::invalid_argument("ProbeFilter::insert: line wider than 46 bits");
+  }
   const std::uint32_t set = set_of(line);
   PfEntry* base = &entries_[static_cast<std::size_t>(set) * ways_];
   // One scan: find the first free way while guarding against duplicates.

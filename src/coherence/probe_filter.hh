@@ -28,14 +28,22 @@ enum class PfState : std::uint8_t { kInvalid, kEM, kOwned, kShared };
 
 std::string to_string(PfState state);
 
-/// One directory entry.
+/// One directory entry, packed into one 8-byte word.
 struct PfEntry {
-  LineAddr line = 0;
-  PfState state = PfState::kInvalid;
-  NodeId owner = kInvalidNode;  ///< Meaningful for kEM / kOwned.
+  /// Width of the line field: ProbeFilter::insert rejects wider lines.
+  static constexpr unsigned kLineFieldBits = 46;
+
+  PfEntry() : line(0), state(PfState::kInvalid), owner(kInvalidNode) {}
+  PfEntry(LineAddr line, PfState state, NodeId owner)
+      : line(line), state(state), owner(owner) {}
+
+  LineAddr line : kLineFieldBits;
+  PfState state : 2;
+  NodeId owner : 16;  ///< Meaningful for kEM / kOwned.
 
   bool valid() const { return state != PfState::kInvalid; }
 };
+static_assert(sizeof(PfEntry) == 8, "a probe-filter entry is one word");
 
 /// Access counters used by the energy model and the evaluation figures.
 struct ProbeFilterStats {
@@ -84,7 +92,8 @@ class ProbeFilter {
   std::optional<PfEntry> displace_victim(LineAddr line,
                                          FunctionRef<bool(LineAddr)> pinned);
 
-  /// Installs an entry; the set must have a free way.
+  /// Installs an entry; the set must have a free way, and `line` must fit
+  /// in PfEntry::kLineFieldBits.
   void insert(LineAddr line, PfState state, NodeId owner);
 
   /// Removes the entry for `line`; returns false when absent.

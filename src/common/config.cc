@@ -31,6 +31,7 @@ void check_cache(const CacheConfig& c, const std::string& name) {
   check(c.size_bytes >= kLineBytes, name + " smaller than one line");
   check(c.size_bytes % kLineBytes == 0, name + " not a multiple of the line size");
   check(c.ways >= 1, name + " has zero ways");
+  check(c.ways <= kMaxWays, name + " has more than 255 ways");
   check(c.lines() % c.ways == 0, name + " lines not divisible by ways");
   const std::uint32_t sets = c.sets();
   check(sets != 0 && (sets & (sets - 1)) == 0,
@@ -48,6 +49,8 @@ void SystemConfig::validate() const {
   check_cache(l1d, "L1D");
   check_cache(l2, "L2");
   check(probe_filter_coverage_bytes >= kLineBytes, "probe filter too small");
+  check(probe_filter_ways >= 1, "probe filter has zero ways");
+  check(probe_filter_ways <= kMaxWays, "probe filter has more than 255 ways");
   check(probe_filter_entries() % probe_filter_ways == 0,
         "probe filter entries not divisible by ways");
   const std::uint32_t pf_sets = probe_filter_entries() / probe_filter_ways;

@@ -19,6 +19,10 @@ enum class DirectoryMode : std::uint8_t {
 
 std::string to_string(DirectoryMode mode);
 
+/// Largest associativity of any cache or probe filter: replacement state
+/// ranks the ways of a set in one byte each (cache::LruPolicy).
+inline constexpr std::uint32_t kMaxWays = 255;
+
 /// Cache geometry for one cache level.
 struct CacheConfig {
   std::uint32_t size_bytes = 0;   ///< Total capacity.

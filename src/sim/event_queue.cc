@@ -4,13 +4,22 @@
 
 namespace allarm::sim {
 
-void EventQueue::drain_far_slow() {
-  const Tick horizon = base_ + kNearBuckets;
+void EventQueue::link_sorted(Bucket& bucket, std::uint32_t index) {
+  // The tail sorts after the new node, so the walk stops before it.
+  Node& node = nodes_[index];
+  std::uint32_t* link = &bucket.head;
+  while (nodes_[*link].when <= node.when) link = &nodes_[*link].next;
+  node.next = *link;
+  *link = index;
+}
+
+void EventQueue::drain_far() {
+  const Tick horizon = window_ + kNearTicks;
   while (!far_.empty() && far_.front().when < horizon) {
-    // Heap pops come out in exact (tick, seq) order, and a tick is only
-    // ever migrated before any in-window insert can target it, so bucket
-    // FIFO order remains global (tick, seq) order.  The node itself never
-    // moves -- only its reference leaves the heap.
+    // Heap pops come out in exact (tick, seq) order into buckets the
+    // window has just uncovered, so each one appends at its bucket's tail
+    // and bucket order remains global (tick, seq) order.  The node itself
+    // never moves -- only its reference leaves the heap.
     std::pop_heap(far_.begin(), far_.end(), Later{});
     link_near(far_.back().node);
     far_.pop_back();
@@ -24,17 +33,16 @@ std::uint64_t EventQueue::run(std::uint64_t max_events) {
 }
 
 void EventQueue::run_until(Tick until) {
-  // Peek WITHOUT next_bucket(): that would advance base_ to the next
-  // pending tick even when it lies beyond `until`, and an event scheduled
-  // afterwards below that tick would land behind the window base and
-  // execute out of order.  A pure read keeps base_ <= every executed tick.
+  // Peek WITHOUT moving the window: advancing it to the next pending tick
+  // when that lies beyond `until` would let an event scheduled afterwards
+  // below that tick land behind the window start and execute out of
+  // order.  A pure read keeps window_ <= every pending tick.
   while (true) {
     Tick next;
     if (near_count_ > 0) {
-      // Bucket ticks all lie below base_ + kNearBuckets <= any far tick,
+      // Bucket ticks all lie below window_ + kNearTicks <= any far tick,
       // so the earliest near event is the global minimum.
-      const std::size_t b = scan_from(base_ & kNearMask);
-      next = nodes_[buckets_[b].head].when;
+      next = nodes_[buckets_[first_live()].head].when;
     } else if (!far_.empty()) {
       next = far_.front().when;
     } else {
@@ -47,26 +55,19 @@ void EventQueue::run_until(Tick until) {
 }
 
 void EventQueue::clear() {
-  if (near_count_ != 0) {
-    for (std::size_t w = 0; w < live0_.size(); ++w) {
-      std::uint64_t word = live0_[w];
-      while (word != 0) {
-        const std::size_t b = (w << 6) + lowest_set_bit(word);
-        word &= word - 1;
-        Bucket& bucket = buckets_[b];
-        for (std::uint32_t i = bucket.head; i != kNil;) {
-          const std::uint32_t next = nodes_[i].next;
-          release_node(i);
-          i = next;
-        }
-        bucket.head = bucket.tail = kNil;
+  for (std::size_t w = 0; w < kLiveWords; ++w) {
+    for (std::uint64_t word = live_[w]; word != 0; word &= word - 1) {
+      Bucket& bucket = buckets_[(w << 6) + lowest_set_bit(word)];
+      for (std::uint32_t i = bucket.head; i != kNil;) {
+        const std::uint32_t next = nodes_[i].next;
+        release_node(i);
+        i = next;
       }
-      live0_[w] = 0;
+      bucket.head = bucket.tail = kNil;
     }
-    std::fill(live1_.begin(), live1_.end(), 0);
-    live2_ = 0;
-    near_count_ = 0;
+    live_[w] = 0;
   }
+  near_count_ = 0;
   for (const FarRef& ref : far_) release_node(ref.node);
   far_.clear();
 }

@@ -4,22 +4,22 @@
 // by (tick, insertion sequence); same-tick events execute in FIFO order so
 // every run is deterministic.
 //
-// Structure: a two-level calendar queue.  Events within the near horizon
-// (kNearBuckets ticks of the queue's window base) land in per-tick FIFO
-// buckets -- intrusive lists over a pooled node arena, O(1) to push and
-// pop, with a three-level occupancy bitmap locating the next non-empty
-// tick in a handful of word scans.  Events beyond the horizon overflow
-// into a binary min-heap on (tick, seq) and migrate into the buckets as
-// the window advances.  Because the window only moves forward and far
-// events migrate the moment the window first covers their tick, bucket
-// order is always exact (tick, seq) order: the rewrite is bit-for-bit
-// equivalent to the former std::priority_queue kernel.
+// Structure: a two-level calendar queue.  The near tier is a ring of 256
+// buckets, each covering 512 consecutive ticks, so the ring spans 2^17
+// ticks from a window start aligned down to a bucket boundary.  A bucket is
+// an intrusive list over a pooled node arena, kept sorted by tick and FIFO
+// within a tick; a 256-bit occupancy bitmap finds the next non-empty
+// bucket in at most five word tests.  The whole ring is 2 KiB, so it stays
+// in L1.  Events beyond the window overflow into a binary min-heap on
+// (tick, seq) and migrate into the buckets the moment the window first
+// covers their tick -- before any in-window insert can target it -- so
+// bucket order is always exact (tick, seq) order.
 //
 // Steady state performs no heap allocations: events store their callables
 // inline (sim::Event), the node arena and heap recycle their capacity, and
-// the bitmaps and bucket table are fixed-size.  The schedule/execute path
-// is defined inline below so call sites across the simulator compile it
-// down without crossing a translation-unit boundary.
+// the bitmap and bucket ring are fixed-size members.  The schedule/execute
+// path is defined inline below so call sites across the simulator compile
+// it down without crossing a translation-unit boundary.
 #pragma once
 
 #include <algorithm>
@@ -78,24 +78,26 @@ class EventQueue {
   void clear();
 
  private:
-  /// Near-horizon width in ticks (= bucket count).  128 Ki ticks = 131 ns:
-  /// wide enough that cache, mesh and DRAM hops (1-60 ns) AND the 100 ns
-  /// core timeshare retry schedule into buckets; long think-time and
-  /// migration timers (and deeply queued DRAM bursts) overflow into the
-  /// far heap, whose entries are 16-byte references into the same node
-  /// arena.  Do not shrink below the 100 ns retry: at 2^16 the
-  /// migration profile cycles every retry through the far heap
-  /// (drain_far_slow on every ~5th event) and loses ~10% throughput even
-  /// though the smaller bucket table helps the other profiles.  Window
-  /// width never changes event ORDER — (tick, seq) order is exact at any
-  /// size — so this constant is a pure performance knob.
-  static constexpr std::size_t kNearBuckets = std::size_t{1} << 17;
-  static constexpr std::size_t kNearMask = kNearBuckets - 1;
+  /// Near-tier geometry: 256 buckets of 512 ticks, 2^17 ticks (131 ns) in
+  /// all.  Cache, mesh and DRAM hops (1-60 ns) and the 100 ns core
+  /// timeshare retry land in buckets; think-time and migration timers
+  /// (and deeply queued DRAM bursts) overflow into the far heap.  The
+  /// geometry never changes event ORDER, only speed: at a 2^16-tick window
+  /// the migration profile cycled every retry through the far heap and
+  /// lost ~10% throughput.  An action schedules the retry from anywhere in
+  /// the window's first bucket, hence the assert's one-bucket margin.
+  static constexpr unsigned kBucketBits = 9;
+  static constexpr Tick kBucketTicks = Tick{1} << kBucketBits;
+  static constexpr std::size_t kBuckets = 256;
+  static constexpr Tick kNearTicks = kBucketTicks * kBuckets;
+  static constexpr std::size_t kLiveWords = kBuckets / 64;
+  static_assert(kNearTicks - kBucketTicks >= ticks_from_ns(100.0),
+                "the 100 ns timeshare retry must land in the near tier");
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  /// One pending event plus its FIFO link (near buckets) -- pooled.  Far
-  /// events live in the same arena; the heap orders lightweight references
-  /// so sifting never moves Event storage.
+  /// One pending event plus its bucket link -- pooled.  Far events live in
+  /// the same arena; the heap orders lightweight references so sifting
+  /// never moves Event storage.
   struct Node {
     Tick when = 0;
     std::uint32_t next = kNil;
@@ -117,67 +119,51 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  /// Head/tail of one per-tick FIFO (indices into nodes_).
+  /// Head/tail of one bucket's tick-sorted list (indices into nodes_).
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
   };
 
   static unsigned lowest_set_bit(std::uint64_t word) {
-#if defined(__GNUC__) || defined(__clang__)
     return static_cast<unsigned>(__builtin_ctzll(word));
-#else
-    unsigned bit = 0;
-    while ((word & 1u) == 0) {
-      word >>= 1;
-      ++bit;
-    }
-    return bit;
-#endif
+  }
+
+  static std::size_t bucket_of(Tick when) {
+    return static_cast<std::size_t>(when >> kBucketBits) & (kBuckets - 1);
   }
 
   std::uint32_t make_node(Tick when);
   void release_node(std::uint32_t index);
-  /// Appends arena node `index` to its tick's bucket FIFO.
+  /// Links arena node `index` into its bucket, after every node of an
+  /// equal or earlier tick.
   void link_near(std::uint32_t index);
-  void mark_live(std::size_t bucket);
-  void mark_empty(std::size_t bucket);
-  /// Migrates far-heap entries that the window now covers into buckets.
-  /// Must run every time `base_` advances; the common no-far case is one
-  /// inline branch.
-  void drain_far() {
-    if (!far_.empty() && far_.front().when < base_ + kNearBuckets) {
-      drain_far_slow();
+  /// link_near()'s rare case: the node sorts before the bucket's tail.
+  void link_sorted(Bucket& bucket, std::uint32_t index);
+  /// Moves the window to the bucket holding `tick` (the earliest pending
+  /// tick) and migrates far-heap entries the window now covers.  They all
+  /// land beyond `tick`'s bucket, so the minimum is unaffected.
+  void advance_window(Tick tick) {
+    window_ = tick & ~(kBucketTicks - 1);
+    if (!far_.empty() && far_.front().when < window_ + kNearTicks) {
+      drain_far();
     }
   }
-  void drain_far_slow();
-  /// Positions `base_` at the next pending tick (migrating far events) and
-  /// returns its bucket, or nullptr when the queue is empty.
-  Bucket* next_bucket();
-  /// Index of the first non-empty bucket, in ring order from `start`.
-  /// Requires near_count_ > 0.
-  std::size_t scan_from(std::size_t start) const;
-  /// First non-empty bucket at index >= `start`, or kNearBuckets when the
-  /// remainder of the table is empty.
-  std::size_t scan_linear(std::size_t start) const;
+  void drain_far();
+  /// Index of the first non-empty bucket in ring order from the window
+  /// start, which is tick order.  Requires near_count_ > 0.
+  std::size_t first_live() const;
 
-  std::vector<Bucket> buckets_ = std::vector<Bucket>(kNearBuckets);
-  // Three-level occupancy bitmap over the bucket table (64-ary tree): bit b
-  // of live0_ marks bucket b non-empty, bit w of live1_ marks word w of
-  // live0_ non-zero, and so on.  Locating the next non-empty tick is three
-  // word scans instead of a walk across (possibly tens of thousands of)
-  // empty per-tick buckets.
-  std::vector<std::uint64_t> live0_ =
-      std::vector<std::uint64_t>(kNearBuckets / 64, 0);
-  std::vector<std::uint64_t> live1_ =
-      std::vector<std::uint64_t>(kNearBuckets / (64 * 64), 0);
-  std::uint64_t live2_ = 0;
+  Bucket buckets_[kBuckets];
+  std::uint64_t live_[kLiveWords] = {};  ///< Bit b: bucket b is non-empty.
   std::vector<Node> nodes_;          ///< Arena backing all pending events.
   std::uint32_t free_head_ = kNil;   ///< Recycled-node list head.
-  std::vector<FarRef> far_;          ///< Beyond-horizon overflow (min-heap).
+  std::vector<FarRef> far_;          ///< Beyond-window overflow (min-heap).
   std::size_t near_count_ = 0;       ///< Events currently in buckets.
-  Tick base_ = 0;                    ///< Window start; buckets cover
-                                     ///< [base_, base_ + kNearBuckets).
+  /// Window start, a multiple of kBucketTicks: buckets hold exactly the
+  /// ticks [window_, window_ + kNearTicks), so no bucket ever mixes two
+  /// laps of the ring, and every far tick is >= window_ + kNearTicks.
+  Tick window_ = 0;
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -204,35 +190,20 @@ inline void EventQueue::release_node(std::uint32_t index) {
   free_head_ = index;
 }
 
-inline void EventQueue::mark_live(std::size_t bucket) {
-  live0_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-  const std::size_t w0 = bucket >> 6;
-  live1_[w0 >> 6] |= std::uint64_t{1} << (w0 & 63);
-  live2_ |= std::uint64_t{1} << (w0 >> 6);
-}
-
-inline void EventQueue::mark_empty(std::size_t bucket) {
-  const std::size_t w0 = bucket >> 6;
-  live0_[w0] &= ~(std::uint64_t{1} << (bucket & 63));
-  if (live0_[w0] == 0) {
-    live1_[w0 >> 6] &= ~(std::uint64_t{1} << (w0 & 63));
-    if (live1_[w0 >> 6] == 0) {
-      live2_ &= ~(std::uint64_t{1} << (w0 >> 6));
-    }
-  }
-}
-
 inline void EventQueue::link_near(std::uint32_t index) {
   Node& node = nodes_[index];
-  node.next = kNil;
-  const std::size_t b = node.when & kNearMask;
+  const std::size_t b = bucket_of(node.when);
   Bucket& bucket = buckets_[b];
   if (bucket.head == kNil) {
+    node.next = kNil;
     bucket.head = bucket.tail = index;
-    mark_live(b);
-  } else {
+    live_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  } else if (nodes_[bucket.tail].when <= node.when) {
+    node.next = kNil;
     nodes_[bucket.tail].next = index;
     bucket.tail = index;
+  } else {
+    link_sorted(bucket, index);
   }
   ++near_count_;
 }
@@ -249,10 +220,10 @@ inline void EventQueue::schedule_at(Tick when, F&& action) {
   } else {
     nodes_[index].action.emplace(std::forward<F>(action));
   }
-  if (when < base_ + kNearBuckets) {
-    // FIFO bucket order encodes `seq` implicitly: appends happen in
-    // insertion order, and far migration (below) happens before any
-    // in-window insert can target the same tick.
+  if (when < window_ + kNearTicks) {
+    // Bucket order encodes `seq` implicitly: a tick's inserts are linked
+    // after its earlier ones, and far migration (advance_window) happens
+    // before any in-window insert can target the same tick.
     link_near(index);
   } else {
     far_.push_back(FarRef{when, seq, index});
@@ -260,70 +231,46 @@ inline void EventQueue::schedule_at(Tick when, F&& action) {
   }
 }
 
-inline std::size_t EventQueue::scan_linear(std::size_t start) const {
-  // Level 0: the word containing `start`, bits at or above it.
-  std::size_t w0 = start >> 6;
-  const std::uint64_t head = live0_[w0] & (~std::uint64_t{0} << (start & 63));
-  if (head != 0) return (w0 << 6) + lowest_set_bit(head);
-  // Level 1: next non-zero level-0 word strictly above w0.
-  std::size_t w1 = w0 >> 6;
-  const std::uint64_t mid =
-      (w0 & 63) == 63 ? 0
-                      : live1_[w1] & (~std::uint64_t{0} << ((w0 & 63) + 1));
-  if (mid != 0) {
-    w0 = (w1 << 6) + lowest_set_bit(mid);
-    return (w0 << 6) + lowest_set_bit(live0_[w0]);
+inline std::size_t EventQueue::first_live() const {
+  const std::size_t start = bucket_of(window_);
+  std::size_t w = start >> 6;
+  std::uint64_t bits = live_[w] & (~std::uint64_t{0} << (start & 63));
+  // Words from the start word round the ring, ending back on the start
+  // word, whose bits at or above `start` are known empty by then.
+  for (std::size_t i = 0; i < kLiveWords && bits == 0; ++i) {
+    w = (w + 1) & (kLiveWords - 1);
+    bits = live_[w];
   }
-  // Level 2: next non-zero level-1 word strictly above w1.
-  const std::uint64_t top =
-      (w1 & 63) == 63 ? 0 : live2_ & (~std::uint64_t{0} << (w1 + 1));
-  if (top != 0) {
-    w1 = lowest_set_bit(top);
-    w0 = (w1 << 6) + lowest_set_bit(live1_[w1]);
-    return (w0 << 6) + lowest_set_bit(live0_[w0]);
+  if (bits == 0) {
+    throw std::logic_error("EventQueue: bitmap empty with near events pending");
   }
-  return kNearBuckets;
-}
-
-inline std::size_t EventQueue::scan_from(std::size_t start) const {
-  // Ring order: [start, end) first, wrapping to [0, start).
-  const std::size_t above = scan_linear(start);
-  if (above != kNearBuckets) return above;
-  const std::size_t below = scan_linear(0);
-  if (below != kNearBuckets) return below;
-  throw std::logic_error("EventQueue: bitmap empty with near events pending");
-}
-
-inline EventQueue::Bucket* EventQueue::next_bucket() {
-  if (near_count_ == 0) {
-    if (far_.empty()) return nullptr;
-    base_ = far_.front().when;
-    drain_far();
-  } else {
-    const std::size_t b = scan_from(base_ & kNearMask);
-    base_ = nodes_[buckets_[b].head].when;
-    // The window moved forward: pull in far events it now covers.  They
-    // all land strictly after `base_` (they were beyond the old horizon),
-    // so the minimum just found is unaffected.
-    drain_far();
-  }
-  return &buckets_[base_ & kNearMask];
+  return (w << 6) + lowest_set_bit(bits);
 }
 
 inline bool EventQueue::run_one() {
-  Bucket* bucket = next_bucket();
-  if (bucket == nullptr) return false;
+  std::size_t b;
+  if (near_count_ != 0) {
+    b = first_live();
+    advance_window(nodes_[buckets_[b].head].when);
+  } else if (!far_.empty()) {
+    const Tick when = far_.front().when;
+    advance_window(when);
+    b = bucket_of(when);
+  } else {
+    return false;
+  }
 
   // Detach the head node *before* invoking: the action may schedule new
-  // events (growing the arena or appending to this very bucket).
-  const std::uint32_t index = bucket->head;
+  // events (growing the arena or linking into this very bucket).
+  Bucket& bucket = buckets_[b];
+  const std::uint32_t index = bucket.head;
   Node& node = nodes_[index];
   now_ = node.when;
   Event action = std::move(node.action);
-  bucket->head = node.next;
-  if (bucket->head == kNil) {
-    bucket->tail = kNil;
-    mark_empty(base_ & kNearMask);
+  bucket.head = node.next;
+  if (bucket.head == kNil) {
+    bucket.tail = kNil;
+    live_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   }
   --near_count_;
   release_node(index);

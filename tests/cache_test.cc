@@ -2,11 +2,14 @@
 // L1/L2 hierarchy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
+#include "common/rng.hh"
 
 namespace allarm::cache {
 namespace {
@@ -50,6 +53,76 @@ TEST(Lru, SetsAreIndependent) {
   std::vector<bool> all(2, true);
   EXPECT_EQ(lru.victim(0, all), 0u);
   EXPECT_EQ(lru.victim(1, all), 1u);
+}
+
+/// The former LRU: one global 64-bit access stamp per way, victim = the
+/// first eligible way holding the minimum stamp.  The reference that the
+/// byte counters must agree with, choice for choice.
+class StampLru {
+ public:
+  StampLru(std::uint32_t sets, std::uint32_t ways)
+      : ways_(ways), stamp_(static_cast<std::size_t>(sets) * ways, 0) {}
+  void touch(std::uint32_t set, std::uint32_t way) {
+    stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+  }
+  std::uint32_t victim(std::uint32_t set, const std::vector<bool>& eligible) {
+    const std::uint64_t* stamps = &stamp_[static_cast<std::size_t>(set) * ways_];
+    std::uint32_t best = ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (eligible[w] && (best == ways_ || stamps[w] < stamps[best])) best = w;
+    }
+    return best;
+  }
+
+ private:
+  std::uint32_t ways_;
+  std::uint64_t clock_ = 0;
+  std::vector<std::uint64_t> stamp_;
+};
+
+TEST(Lru, MatchesStampLruOnRandomSequences) {
+  // Short sequences keep never-touched ways around (ties at zero); long
+  // ones re-touch every way many times over.
+  for (std::uint32_t ways = 1; ways <= 16; ++ways) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      constexpr std::uint32_t kSets = 3;
+      LruPolicy lru(kSets, ways);
+      StampLru ref(kSets, ways);
+      Rng rng(seed * 131 + ways);
+      const std::uint64_t steps = seed % 4 == 0 ? 4 : 60 * ways;
+      for (std::uint64_t i = 0; i < steps; ++i) {
+        const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+        switch (rng.below(3)) {
+          case 0: {
+            const auto way = static_cast<std::uint32_t>(rng.below(ways));
+            lru.touch(set, way);
+            ref.touch(set, way);
+            break;
+          }
+          case 1: {
+            std::vector<bool> eligible(ways);
+            for (std::uint32_t w = 0; w < ways; ++w) eligible[w] = rng.below(2);
+            eligible[rng.below(ways)] = true;
+            ASSERT_EQ(lru.victim(set, eligible), ref.victim(set, eligible))
+                << ways << " ways, seed " << seed << ", step " << i;
+            break;
+          }
+          default: {
+            const std::vector<bool> all(ways, true);
+            ASSERT_EQ(lru.victim_any(set), ref.victim(set, all))
+                << ways << " ways, seed " << seed << ", step " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Lru, RejectsMoreWaysThanAByteRanks) {
+  EXPECT_NO_THROW(LruPolicy(1, 255));
+  EXPECT_THROW(LruPolicy(1, 256), std::invalid_argument);
+  EXPECT_THROW(make_policy(ReplacementKind::kLru, 1, 8192, 0),
+               std::invalid_argument);
 }
 
 TEST(TreePlru, VictimAvoidsRecentlyTouched) {
@@ -166,6 +239,46 @@ TEST(Cache, ClearEmptiesEverything) {
   c.clear();
   EXPECT_EQ(c.occupancy(), 0u);
   EXPECT_FALSE(c.contains(1));
+}
+
+TEST(Cache, HoldsWideLinesInEveryStateUnchanged) {
+  // Lines keep their full width: perfbench feeds virtual line numbers.
+  Cache c(tiny_cache(8, 4), ReplacementKind::kLru, 0, "t");
+  const LineState states[] = {LineState::kShared, LineState::kExclusive,
+                              LineState::kOwned, LineState::kModified};
+  const LineAddr wide = (LineAddr{1} << 40) + 6;  // Set 0 of 2.
+  for (LineState state : states) {
+    const LineAddr line = wide + 2 * static_cast<LineAddr>(state);
+    EXPECT_FALSE(c.insert(line, state).valid());
+    EXPECT_EQ(c.state_of(line), state);
+    EXPECT_FALSE(c.contains(line & ((LineAddr{1} << 40) - 1)));
+  }
+  // The set is full: each further insert returns one wide victim intact.
+  std::set<std::pair<LineAddr, LineState>> victims;
+  for (LineAddr i = 0; i < 4; ++i) {
+    const Victim v = c.insert(2 * i, LineState::kShared);
+    victims.emplace(v.line, v.state);
+  }
+  std::set<std::pair<LineAddr, LineState>> want;
+  for (LineState state : states) {
+    want.emplace(wide + 2 * static_cast<LineAddr>(state), state);
+  }
+  EXPECT_EQ(victims, want);
+}
+
+TEST(Cache, StateRefRewritesOnlyTheState) {
+  Cache c(tiny_cache(8, 4), ReplacementKind::kLru, 0, "t");
+  const LineAddr line = (LineAddr{1} << 50) + 1;
+  c.insert(line, LineState::kExclusive);
+  const StateRef ref = c.touch_ref(line);
+  ASSERT_TRUE(ref);
+  EXPECT_EQ(ref.get(), LineState::kExclusive);
+  ref.set(LineState::kModified);
+  EXPECT_EQ(c.state_of(line), LineState::kModified);
+  EXPECT_FALSE(c.touch_ref(line + 2));
+  EXPECT_FALSE(c.state_ref(line + 2));
+  EXPECT_EQ(c.erase(line), LineState::kModified);
+  EXPECT_FALSE(c.state_ref(line));
 }
 
 TEST(LineStateHelpers, Predicates) {

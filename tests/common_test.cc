@@ -83,6 +83,34 @@ TEST(Config, RejectsBadProbeFilterGeometry) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
+TEST(Config, RejectsZeroProbeFilterWays) {
+  // Must be rejected before validate() divides the entry count by it.
+  SystemConfig config;
+  config.probe_filter_ways = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, CapsAssociativityAt255Ways) {
+  // Replacement state ranks ways in one byte.  These geometries have a
+  // power-of-two set count, so only the cap rejects them.
+  SystemConfig config;
+  config.probe_filter_ways = 256;  // 8192 entries: 32 sets.
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.probe_filter_ways = 8192;  // One set.
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.probe_filter_ways = 128;
+  EXPECT_NO_THROW(config.validate());
+
+  for (CacheConfig SystemConfig::*level :
+       {&SystemConfig::l1i, &SystemConfig::l1d, &SystemConfig::l2}) {
+    SystemConfig caches;
+    (caches.*level).ways = 256;
+    EXPECT_THROW(caches.validate(), std::invalid_argument);
+    (caches.*level).ways = 128;
+    EXPECT_NO_THROW(caches.validate());
+  }
+}
+
 TEST(Config, ModeNames) {
   EXPECT_EQ(to_string(DirectoryMode::kBaseline), "baseline");
   EXPECT_EQ(to_string(DirectoryMode::kAllarm), "allarm");

@@ -4,7 +4,8 @@
 // the tentpole property of the allocation-free kernel: once warmed up,
 // scheduling and executing events whose closures fit sim::Event's inline
 // buffer performs ZERO heap allocations -- the node arena, the far heap
-// and the buckets all recycle their capacity.
+// and the buckets all recycle their capacity.  The same wrappers count
+// bytes, pinning how much one simulated machine allocates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 }  // namespace
 
 // AddressSanitizer owns the global allocator; forwarding counting wrappers
@@ -40,6 +42,7 @@ std::atomic<std::uint64_t> g_news{0};
 #if ALLARM_COUNTING_NEW
 void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -171,6 +174,22 @@ TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {
   EXPECT_GT(system.events().events_executed(), 0u);
   EXPECT_EQ(Event::heap_fallbacks(), fallbacks_before)
       << "a simulator closure no longer fits Event::kInlineBytes";
+}
+
+TEST(KernelAllocations, TableISystemAllocatesAtMostThreeMiB) {
+  // Construction sizes every per-node structure: tag arrays, replacement
+  // state, probe filters, presence filters, and the event calendar.  Keep
+  // one machine's working set inside a host core's L2-sized budget.
+#if !ALLARM_COUNTING_NEW
+  GTEST_SKIP() << "AddressSanitizer owns operator new; bytes are not counted";
+#endif
+  const SystemConfig config;
+  const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+  { core::System system(config); }
+  const std::uint64_t bytes =
+      g_new_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, std::uint64_t{3} << 20)
+      << "a Table-I System allocated " << bytes << " bytes";
 }
 
 }  // namespace

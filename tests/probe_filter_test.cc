@@ -128,6 +128,35 @@ TEST(ProbeFilter, RejectsInvalidInsert) {
   EXPECT_THROW(pf.insert(1, PfState::kEM, 0), std::logic_error);  // Duplicate.
 }
 
+TEST(ProbeFilter, EntryRoundTripsAtTheLineWidthLimit) {
+  const LineAddr widest = (LineAddr{1} << PfEntry::kLineFieldBits) - 1;
+  const PfEntry e(widest, PfState::kOwned, NodeId{0xFFFE});
+  EXPECT_EQ(e.line, widest);
+  EXPECT_EQ(e.state, PfState::kOwned);
+  EXPECT_EQ(e.owner, NodeId{0xFFFE});
+  const PfEntry blank;
+  EXPECT_FALSE(blank.valid());
+  EXPECT_EQ(blank.owner, kInvalidNode);
+
+  ProbeFilter pf = small_pf();
+  pf.insert(widest, PfState::kEM, 3);
+  const PfEntry* got = pf.lookup(widest);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->line, widest);
+  EXPECT_EQ(got->state, PfState::kEM);
+  EXPECT_EQ(got->owner, 3u);
+}
+
+TEST(ProbeFilter, RejectsLinesWiderThanTheEntry) {
+  ProbeFilter pf = small_pf();
+  const LineAddr too_wide = LineAddr{1} << PfEntry::kLineFieldBits;
+  EXPECT_THROW(pf.insert(too_wide, PfState::kEM, 0), std::invalid_argument);
+  EXPECT_EQ(pf.occupancy(), 0u);
+  // Its low bits are line 0, which must not be found in its place.
+  EXPECT_EQ(pf.lookup(0), nullptr);
+  EXPECT_EQ(pf.lookup(too_wide), nullptr);
+}
+
 TEST(ProbeFilter, ForEachAndClear) {
   ProbeFilter pf = small_pf();
   pf.insert(1, PfState::kEM, 0);

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/event_queue.hh"
 
 namespace allarm::sim {
@@ -122,11 +126,15 @@ TEST(EventQueue, LargeVolumeKeepsOrder) {
   EXPECT_TRUE(monotone);
 }
 
-// The near horizon is 2^17 ticks: anything beyond now() + 131072 overflows
-// into the far heap.  These tests pin the near/far split and, crucially,
-// that (tick, insertion-order) FIFO survives migration between the two.
+// The near tier is a ring of 256 buckets of 512 ticks, 2^17 ticks in all,
+// starting at a window aligned down to a bucket boundary: anything at or
+// beyond that window's end overflows into the far heap.  These tests pin
+// the near/far split and, crucially, that (tick, insertion-order) FIFO
+// survives migration between the two.
 
-constexpr Tick kFar = 1u << 20;  // Safely beyond the near horizon.
+constexpr Tick kFar = 1u << 20;       // Safely beyond the near tier.
+constexpr Tick kBucket = 512;         // Ticks per near-tier bucket.
+constexpr Tick kLap = Tick{1} << 17;  // Ticks per lap of the bucket ring.
 
 TEST(EventQueue, FarEventsAreHeapedThenExecuted) {
   EventQueue eq;
@@ -243,6 +251,115 @@ TEST(EventQueue, LargeVolumeAcrossHorizonKeepsOrder) {
   eq.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(fired, 20000u);
+}
+
+TEST(EventQueue, EventOneLapAheadNeverOvertakesANearerOne) {
+  // At tick 1000 an event 2^17 - 10 ticks ahead maps to the bucket of
+  // tick 1000 itself.  With the window aligned down to 512 it lies beyond
+  // the window and waits in the far heap; were the window to start at 1000
+  // it would join the current bucket and run before the event at 2000.
+  EventQueue eq;
+  std::vector<Tick> fired;
+  const auto record = [&] { fired.push_back(eq.now()); };
+  eq.schedule_at(1000, [&] {
+    eq.schedule_at(1000 + kLap - 10, record);
+    eq.schedule_at(2000, record);
+  });
+  eq.run();
+  EXPECT_EQ(fired, (std::vector<Tick>{2000, 1000 + kLap - 10}));
+}
+
+// Differential check against a reference queue: a map keyed on (tick,
+// seq).  Both queues run the same seeded schedule -- events added from
+// outside between run_until() stops and from inside running actions --
+// and must execute the same events in the same order.
+
+class ReferenceQueue {
+ public:
+  Tick now() const { return now_; }
+  void schedule_at(Tick when, std::function<void()> action) {
+    pending_.emplace(std::make_pair(when, seq_++), std::move(action));
+  }
+  bool run_one() {
+    if (pending_.empty()) return false;
+    const auto first = pending_.begin();
+    now_ = first->first.first;
+    std::function<void()> action = std::move(first->second);
+    pending_.erase(first);
+    action();
+    return true;
+  }
+  void run() {
+    while (run_one()) {
+    }
+  }
+  void run_until(Tick until) {
+    while (!pending_.empty() && pending_.begin()->first.first <= until) {
+      run_one();
+    }
+    if (now_ < until) now_ = until;
+  }
+
+ private:
+  std::map<std::pair<Tick, std::uint64_t>, std::function<void()>> pending_;
+  Tick now_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
+/// A delay from `now` aimed at the calendar's edge cases.
+Tick draw_delay(Rng& rng, Tick now) {
+  const Tick to_edge = kBucket - now % kBucket;  // Next bucket boundary.
+  switch (rng.below(8)) {
+    case 0: return 0;                                // Same tick.
+    case 1: return rng.below(kBucket);               // Within a bucket.
+    case 2: return to_edge - 1 + rng.below(3);       // Around an edge.
+    case 3: return kLap - 1 + rng.below(3);          // One ring lap.
+    case 4: return kLap - to_edge - 1 + rng.below(3);  // Window end.
+    case 5: return ticks_from_ns(100.0);             // Timeshare retry.
+    case 6: return kLap + rng.below(4 * kLap);       // Far tier.
+    default: return rng.below(4 * kBucket);          // Nearby buckets.
+  }
+}
+
+/// Runs seed `seed`'s schedule on a `Queue` and returns the executed
+/// events as (tick, id), ids numbered in scheduling order.
+template <typename Queue>
+std::vector<std::pair<Tick, std::uint64_t>> run_schedule(std::uint64_t seed) {
+  Queue queue;
+  std::vector<std::pair<Tick, std::uint64_t>> fired;
+  std::uint64_t next_id = 0;
+  int budget = 200;  // Events actions may still add.
+  std::function<void(Tick)> add = [&](Tick when) {
+    const std::uint64_t id = next_id++;
+    queue.schedule_at(when, [&, id] {
+      fired.emplace_back(queue.now(), id);
+      // Children depend only on the event's id, so both queues see the
+      // same program as long as they agree on the order so far.
+      Rng rng(seed * 7919 + id);
+      for (std::uint64_t n = rng.below(3); n > 0 && budget > 0; --n) {
+        --budget;
+        add(queue.now() + draw_delay(rng, queue.now()));
+      }
+    });
+  };
+  Rng rng(seed);
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint64_t n = 1 + rng.below(16); n > 0; --n) {
+      add(queue.now() + draw_delay(rng, queue.now()));
+    }
+    queue.run_until(queue.now() + draw_delay(rng, queue.now()));
+  }
+  queue.run();
+  return fired;
+}
+
+TEST(EventQueue, MatchesReferenceOrderOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    const auto got = run_schedule<EventQueue>(seed);
+    const auto want = run_schedule<ReferenceQueue>(seed);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    ASSERT_FALSE(want.empty());
+  }
 }
 
 TEST(Event, HoldsNonTriviallyCopyableCallables) {
