@@ -1,7 +1,5 @@
-// Shared CLI helpers for the chrono-only throughput benches
-// (bench_kernel_throughput, bench_generator_throughput).  Deliberately free
-// of the google-benchmark dependency bench_util.hh carries: these binaries
-// must always build so CI's perf-smoke steps can run them.
+// Shared CLI helpers for the chrono throughput benches
+// (bench_kernel_throughput, bench_generator_throughput).
 #pragma once
 
 #include <cstddef>

@@ -14,8 +14,7 @@
 //                   Zipf-page sampling (the generator-bound case the
 //                   guide-table inverse-CDF accelerates).
 //
-// Unlike the figure benches this binary does not need google-benchmark:
-// simulations are deterministic, so each measurement is a min-of-N wall
+// Simulations are deterministic, so each measurement is a min-of-N wall
 // clock around System::run.  Results are written to BENCH_kernel.json (see
 // docs/PERF.md for the schema) so the perf trajectory is tracked in CI.
 //
@@ -35,7 +34,6 @@
 #include "bench_cli.hh"
 #include "common/fileio.hh"
 #include "common/stats.hh"
-#include "core/experiment.hh"
 #include "core/system.hh"
 #include "sim/event.hh"
 #include "workload/profiles.hh"
@@ -230,7 +228,6 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   allarm::bench::Options opt;
-  opt.accesses = allarm::core::bench_accesses(opt.accesses);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {

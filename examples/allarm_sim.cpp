@@ -2,8 +2,8 @@
 //
 //   allarm_sim [options]
 //
-//   --benchmark NAME     synthetic profile (default ocean-cont); see --list
-//   --multiprocess       run the Section III-B two-process variant
+//   --benchmark NAME     synthetic profile (default ocean-cont); NAME-2p is
+//                        the Section III-B two-process variant; see --list
 //   --trace FILE         replay an access trace instead (see workload/trace.hh)
 //   --mode MODE          baseline | allarm | both (default both)
 //   --accesses N         ROI accesses per thread (default 30000)
@@ -41,7 +41,6 @@ using namespace allarm;
 
 struct Options {
   std::string benchmark = "ocean-cont";
-  bool multiprocess = false;
   std::string trace;
   std::string mode = "both";
   std::uint64_t accesses = 30000;
@@ -59,7 +58,7 @@ struct Options {
 
 [[noreturn]] void usage(int code) {
   std::cout <<
-      "usage: allarm_sim [--benchmark NAME | --multiprocess | --trace FILE]\n"
+      "usage: allarm_sim [--benchmark NAME | --trace FILE]\n"
       "                  [--mode baseline|allarm|both] [--accesses N]\n"
       "                  [--pf-kb N] [--pf-ways N] [--policy first-touch|interleave]\n"
       "                  [--eviction-buffer] [--serial-probe] [--migrate-us N]\n"
@@ -80,7 +79,6 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--benchmark") o.benchmark = value(i);
-    else if (a == "--multiprocess") o.multiprocess = true;
     else if (a == "--trace") o.trace = value(i);
     else if (a == "--mode") o.mode = value(i);
     else if (a == "--accesses") o.accesses = cli::parse_u64(a.c_str(), value(i));
@@ -99,6 +97,9 @@ Options parse(int argc, char** argv) {
     else if (a == "--timeline") o.timeline = value(i);
     else if (a == "--list") {
       for (const auto& n : workload::benchmark_names()) std::cout << n << '\n';
+      for (const auto& n : workload::multiprocess_benchmark_names()) {
+        std::cout << n << "-2p\n";
+      }
       std::exit(0);
     } else if (a == "--help" || a == "-h") usage(0);
     else {
@@ -120,18 +121,16 @@ Options parse(int argc, char** argv) {
 core::RunResult run_mode(const Options& o, const SystemConfig& config,
                          const workload::WorkloadSpec& spec,
                          DirectoryMode mode) {
-  SystemConfig c = config;
-  c.directory_mode = mode;
-  const auto policy = o.policy == "interleave"
-                          ? numa::AllocPolicy::kInterleave
-                          : numa::AllocPolicy::kFirstTouch;
-  core::System system(c, policy);
-  core::RunOptions options;
-  options.seed = o.seed;
-  options.migration_interval = ticks_from_ns(1000.0) * o.migrate_us;
-  options.profile = o.profile;
-  OBS_SPAN("sim.run", "sim");
-  return system.run(spec, options);
+  core::RunRequest request;
+  request.config = config;
+  request.mode = mode;
+  request.spec = spec;
+  request.seed = o.seed;
+  request.policy = o.policy == "interleave" ? numa::AllocPolicy::kInterleave
+                                            : numa::AllocPolicy::kFirstTouch;
+  request.migration_interval = ticks_from_ns(1000.0) * o.migrate_us;
+  request.profile = o.profile;
+  return core::run_request(request);
 }
 
 /// ROI latency histograms (--profile), printed as `hist.*` rows through the
@@ -192,8 +191,6 @@ int main(int argc, char** argv) {
   try {
     if (!o.trace.empty()) {
       spec = workload::load_trace_workload(o.trace, config);
-    } else if (o.multiprocess) {
-      spec = workload::make_multiprocess(o.benchmark, config, o.accesses);
     } else {
       spec = workload::make_benchmark(o.benchmark, config, o.accesses);
     }

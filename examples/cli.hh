@@ -1,5 +1,5 @@
 // Shared flag parsing for the command-line tools (sweep, allarm_sim,
-// trace, allarm_serve).
+// trace, allarm_serve, quickstart).
 #pragma once
 
 #include <cstdint>

@@ -4,10 +4,10 @@
 //   ./quickstart [benchmark] [accesses-per-thread]
 //
 // Defaults: ocean-cont, 20000 accesses per thread.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
@@ -17,12 +17,17 @@ int main(int argc, char** argv) {
   using namespace allarm;
 
   const std::string bench = argc > 1 ? argv[1] : "ocean-cont";
-  const std::uint64_t accesses = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                          : 20000;
+  const std::uint64_t accesses =
+      argc > 2 ? cli::parse_u64("accesses-per-thread", argv[2]) : 20000;
 
   SystemConfig config;  // Table I defaults: 16 cores, 4x4 mesh, 512kB PF.
-  const workload::WorkloadSpec spec =
-      workload::make_benchmark(bench, config, accesses);
+  workload::WorkloadSpec spec;
+  try {
+    spec = workload::make_benchmark(bench, config, accesses);
+  } catch (const std::exception& e) {
+    std::cerr << "cannot build workload: " << e.what() << '\n';
+    return 2;
+  }
 
   std::cout << "Running '" << bench << "' (" << accesses
             << " accesses/thread) on a " << config.mesh_width << "x"
@@ -30,15 +35,18 @@ int main(int argc, char** argv) {
             << config.probe_filter_coverage_bytes / 1024
             << " kB probe filter per node...\n\n";
 
-  const core::PairResult pair = core::run_pair(config, spec, /*seed=*/42);
+  const core::RunResult base =
+      core::run_single(config, DirectoryMode::kBaseline, spec, /*seed=*/42);
+  const core::RunResult allarm =
+      core::run_single(config, DirectoryMode::kAllarm, spec, /*seed=*/42);
 
   TextTable table({"metric", "baseline", "ALLARM", "ALLARM/baseline"});
   auto row = [&](const std::string& name, const std::string& stat,
                  int precision = 0) {
-    table.add_row({name,
-                   TextTable::fmt(pair.baseline.stats.get(stat), precision),
-                   TextTable::fmt(pair.allarm.stats.get(stat), precision),
-                   TextTable::fmt(pair.normalized(stat), 3)});
+    table.add_row({name, TextTable::fmt(base.stats.get(stat), precision),
+                   TextTable::fmt(allarm.stats.get(stat), precision),
+                   TextTable::fmt(allarm.stats.normalized_to(base.stats, stat),
+                                  3)});
   };
   row("runtime (ns)", "runtime_ns");
   row("PF evictions", "dir.pf_evictions");
@@ -49,16 +57,15 @@ int main(int argc, char** argv) {
   std::cout << table.to_string() << '\n';
 
   std::cout << "speedup:                      "
-            << TextTable::fmt(pair.speedup(), 3) << "\n";
-  std::cout << "local fraction of requests:   "
             << TextTable::fmt(
-                   pair.baseline.stats.get("dir.local_fraction"), 3)
+                   static_cast<double>(base.runtime) / allarm.runtime, 3)
             << "\n";
+  std::cout << "local fraction of requests:   "
+            << TextTable::fmt(base.stats.get("dir.local_fraction"), 3) << "\n";
   std::cout << "local misses w/o allocation:  "
-            << pair.allarm.stats.get("dir.local_no_alloc") << "\n";
+            << allarm.stats.get("dir.local_no_alloc") << "\n";
   std::cout << "local probe hidden fraction:  "
-            << TextTable::fmt(
-                   pair.allarm.stats.get("dir.probe_hidden_fraction"), 3)
+            << TextTable::fmt(allarm.stats.get("dir.probe_hidden_fraction"), 3)
             << "\n";
   return 0;
 }

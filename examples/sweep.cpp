@@ -2,23 +2,12 @@
 //
 //   sweep --grid NAME [options]
 //
-//   --grid NAME          which grid to run (see --list):
-//                          fig3    benchmarks x Table-I machine x {baseline, allarm}
-//                          fig3h   benchmarks x {512,256,128} kB probe filter
-//                                  x {baseline, allarm}
-//                          policy  benchmarks x {first-touch, interleave}
-//                                  x {baseline, allarm}
-//                          region  benchmarks x {4096,1024,256,64} B regions
-//                                  x {baseline, allarm, region}
-//                          quick   two benchmarks, shortened runs (smoke test)
-//                          trace   .altr trace files (--trace) x replay core
-//                                  counts (--cores) x {first-touch,
-//                                  interleave} x {baseline, allarm}
+//   --grid NAME          which grid to run; `--list` prints every grid
+//                        with its axes (the catalog in runner/grids.cc)
 //   --jobs N             worker threads (default: ALLARM_JOBS, else all cores)
 //   --seeds K            replicates per cell, seeded per grid coordinates
 //                        (default 1)
-//   --accesses N         ROI accesses per thread (default per grid, or the
-//                        ALLARM_BENCH_ACCESSES environment variable)
+//   --accesses N         ROI accesses per thread (default per grid)
 //   --seed N             base seed (default 42)
 //   --out FILE           stream the JSON report here (default: stdout)
 //   --csv FILE           also stream a long-format CSV report
@@ -103,6 +92,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -151,8 +141,12 @@ struct Options {
 };
 
 [[noreturn]] void usage(int code) {
+  std::string grids;
+  for (const runner::GridInfo& grid : runner::grid_catalog()) {
+    grids += (grids.empty() ? "" : "|") + grid.name;
+  }
   std::cout <<
-      "usage: sweep --grid fig3|fig3h|policy|region|quick|trace [--jobs N]\n"
+      "usage: sweep --grid " << grids << " [--jobs N]\n"
       "             [--seeds K] [--accesses N] [--seed N] [--out FILE]\n"
       "             [--csv FILE] [--journal FILE [--resume|--resume-cells]]\n"
       "             [--shard K/N [--cost-from FILE]]\n"
@@ -166,15 +160,10 @@ struct Options {
 }
 
 void list_grids() {
-  std::cout
-      << "fig3    all benchmarks x Table-I machine x {baseline, allarm}\n"
-      << "fig3h   all benchmarks x {512, 256, 128} kB probe filter x modes\n"
-      << "policy  all benchmarks x {first-touch, interleave} x modes\n"
-      << "region  all benchmarks x {4096, 1024, 256, 64} B regions x"
-         " {baseline, allarm, region}\n"
-      << "quick   barnes + ocean-cont, shortened runs (smoke test)\n"
-      << "trace   --trace .altr files x --cores x {first-touch, interleave}"
-         " x modes\n";
+  for (const runner::GridInfo& grid : runner::grid_catalog()) {
+    std::cout << std::left << std::setw(10) << grid.name << grid.description
+              << "\n";
+  }
 }
 
 /// mkdir for --capture; an existing directory is fine (rerun into it).

@@ -35,8 +35,7 @@
 //   --policy P           first-touch | interleave (replay default: as
 //                        captured)
 //   --seed N             run seed (replay default: as captured)
-//   --accesses N         ROI accesses per thread for record (default 2000,
-//                        or ALLARM_BENCH_ACCESSES)
+//   --accesses N         ROI accesses per thread for record (default 2000)
 //   --cores N            replay on N cores (each thread's captured
 //                        placement node remaps to node mod N; default:
 //                        the captured placement)
@@ -189,8 +188,7 @@ int cmd_record(const Options& o) {
   request.policy = o.policy.empty() ? numa::AllocPolicy::kFirstTouch
                                     : parse_policy(o.policy);
   request.seed = o.seed_set ? o.seed : 1;
-  const std::uint64_t accesses =
-      o.accesses > 0 ? o.accesses : core::bench_accesses(2000);
+  const std::uint64_t accesses = o.accesses > 0 ? o.accesses : 2000;
   request.spec =
       workload::make_benchmark(o.workload, request.config, accesses);
   request.capture_trace = o.out;

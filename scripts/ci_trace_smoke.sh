@@ -15,7 +15,10 @@
 #                             the replay result block must equal the
 #                             record result block byte for byte, and a
 #                             malformed `cat --limit` exits 2 with no
-#                             output.
+#                             output;
+#  5. ablation replay       - `sweep --grid ablation` captured and replayed
+#                             reproduces its report byte for byte,
+#                             thread-migration cells included.
 #
 # Usage: scripts/ci_trace_smoke.sh [path-to-sweep] [path-to-trace]
 set -euo pipefail
@@ -27,7 +30,7 @@ trap 'rm -rf "$WORK"' EXIT
 
 ARGS=(--grid quick --seeds 2 --accesses 1000 --seed 42)
 
-echo "== 1/4 capture is invisible to the report =="
+echo "== 1/5 capture is invisible to the report =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --out "$WORK/direct.json" 2> "$WORK/direct.log"
 cat "$WORK/direct.log" >&2
 "$SWEEP" "${ARGS[@]}" --jobs 2 --capture "$WORK/traces" \
@@ -42,13 +45,13 @@ if [ -z "$JOBS" ] || [ "$CAPTURED" -ne "$JOBS" ]; then
 fi
 echo "OK: captured report identical; $CAPTURED traces written"
 
-echo "== 2/4 replay reproduces the direct report at any --jobs =="
+echo "== 2/5 replay reproduces the direct report at any --jobs =="
 "$SWEEP" "${ARGS[@]}" --jobs 3 --replay "$WORK/traces" \
          --out "$WORK/replayed.json"
 cmp "$WORK/direct.json" "$WORK/replayed.json"
 echo "OK: replayed report is byte-identical to the direct run"
 
-echo "== 3/4 trace grid is deterministic across --jobs =="
+echo "== 3/5 trace grid is deterministic across --jobs =="
 "$SWEEP" --grid trace --trace "$WORK/traces/job-0.altr" --cores 16,8 \
          --seeds 1 --seed 42 --jobs 2 --out "$WORK/grid-a.json"
 "$SWEEP" --grid trace --trace "$WORK/traces/job-0.altr" --cores 16,8 \
@@ -56,7 +59,7 @@ echo "== 3/4 trace grid is deterministic across --jobs =="
 cmp "$WORK/grid-a.json" "$WORK/grid-b.json"
 echo "OK: trace grid byte-identical at any --jobs"
 
-echo "== 4/4 trace CLI record / info / cat / replay =="
+echo "== 4/5 trace CLI record / info / cat / replay =="
 "$TRACE" record --workload barnes --accesses 500 --seed 7 \
          --out "$WORK/cli.altr" > "$WORK/record.txt"
 "$TRACE" info "$WORK/cli.altr" > "$WORK/info.txt"
@@ -83,5 +86,21 @@ fi
 "$TRACE" replay "$WORK/cli.altr" > "$WORK/replay.txt"
 cmp "$WORK/record.txt" "$WORK/replay.txt"
 echo "OK: CLI replay result block matches the capture run"
+
+echo "== 5/5 ablation grid replays byte for byte, migration included =="
+ABLATION=(--grid ablation --seeds 1 --accesses 1000 --seed 42)
+"$SWEEP" "${ABLATION[@]}" --jobs 2 --capture "$WORK/ablation" \
+         --out "$WORK/ablation-captured.json"
+"$SWEEP" "${ABLATION[@]}" --jobs 3 --replay "$WORK/ablation" \
+         --out "$WORK/ablation-replayed.json"
+cmp "$WORK/ablation-captured.json" "$WORK/ablation-replayed.json"
+# The migration cells must actually have migrated threads, or the check
+# above proves nothing about replaying them.
+if ! grep -q '"os.migrations": {"count":1,"mean":[1-9]' \
+        "$WORK/ablation-replayed.json"; then
+    echo "FAIL: no ablation cell migrated a thread"
+    exit 1
+fi
+echo "OK: ablation report (migration cells included) replays byte for byte"
 
 echo "trace smoke: all checks passed"

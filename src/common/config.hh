@@ -72,8 +72,8 @@ struct SystemConfig {
   /// everywhere.  This synchronous-victim cost model follows the paper's
   /// Section II-B accounting (victim readout, invalidation messages and
   /// acknowledgments per eviction).  Setting it false models an eviction
-  /// buffer that drains victim flows in the background; the
-  /// bench_ablation_eviction_buffer binary compares both models.
+  /// buffer that drains victim flows in the background; the `ablation`
+  /// grid's evict-buffer point compares both models.
   bool eviction_gates_reply = true;
   /// Region size for DirectoryMode::kRegion: bytes covered by one region
   /// directory entry.  Power of two, in [kLineBytes, kPageBytes] -- a

@@ -24,14 +24,6 @@ RunResult run_single(SystemConfig config, DirectoryMode mode,
   return system.run(spec, options);
 }
 
-PairResult run_pair(const SystemConfig& config,
-                    const workload::WorkloadSpec& spec, std::uint64_t seed) {
-  PairResult result;
-  result.baseline = run_single(config, DirectoryMode::kBaseline, spec, seed);
-  result.allarm = run_single(config, DirectoryMode::kAllarm, spec, seed);
-  return result;
-}
-
 RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -77,6 +69,7 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
   std::optional<trace::TraceWriter> writer;
   RunOptions options;
   options.seed = request.seed;
+  options.migration_interval = request.migration_interval;
   options.deadline_ns = deadline_ns;
   options.profile = request.profile;
   if (!request.capture_trace.empty()) {
@@ -97,14 +90,6 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
           std::chrono::steady_clock::now() - t0)
           .count());
   return result;
-}
-
-std::uint64_t bench_accesses(std::uint64_t fallback) {
-  if (const char* env = std::getenv("ALLARM_BENCH_ACCESSES")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return fallback;
 }
 
 std::uint32_t bench_jobs(std::uint32_t fallback) {

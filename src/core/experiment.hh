@@ -1,6 +1,6 @@
-// Experiment harness: the one place that knows how to run
-// (workload x configuration) pairs and derive the metrics each paper
-// figure reports.  Used by every bench binary and by the integration tests.
+// Experiment harness: the one place that knows how to run one simulation.
+// The sweep runner schedules RunRequests; the examples and integration
+// tests call run_single directly.
 #pragma once
 
 #include <cstdint>
@@ -17,27 +17,6 @@ RunResult run_single(SystemConfig config, DirectoryMode mode,
                      const workload::WorkloadSpec& spec, std::uint64_t seed,
                      numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch);
 
-/// Baseline + ALLARM runs of the same workload and seed.
-struct PairResult {
-  RunResult baseline;
-  RunResult allarm;
-
-  /// allarm/baseline ratio of a named statistic (1.0 when undefined).
-  double normalized(const std::string& stat) const {
-    return allarm.stats.normalized_to(baseline.stats, stat);
-  }
-  /// Baseline runtime / ALLARM runtime (the paper's speedup).
-  double speedup() const {
-    return allarm.runtime == 0
-               ? 1.0
-               : static_cast<double>(baseline.runtime) /
-                     static_cast<double>(allarm.runtime);
-  }
-};
-
-PairResult run_pair(const SystemConfig& config,
-                    const workload::WorkloadSpec& spec, std::uint64_t seed);
-
 /// Self-contained description of one simulation run: everything a worker
 /// thread needs to execute the run with no shared state.  This is the unit
 /// the sweep runner (src/runner/) schedules.
@@ -47,6 +26,9 @@ struct RunRequest {
   workload::WorkloadSpec spec;
   std::uint64_t seed = 1;
   numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch;
+  /// RunOptions::migration_interval: when nonzero, one thread migrates per
+  /// interval.  A replay must run with the capture run's interval.
+  Tick migration_interval = 0;
   /// When non-empty, the run's executed access stream (plus workload
   /// metadata and setup placements) is captured to this .altr trace file.
   /// Pure side effect: results are unchanged (see docs/TRACES.md).
@@ -73,11 +55,7 @@ struct RunRequest {
 /// request object untouched.
 RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns = 0);
 
-/// Number of accesses per thread used by the figure benches.  Reads the
-/// ALLARM_BENCH_ACCESSES environment variable; defaults to `fallback`.
-std::uint64_t bench_accesses(std::uint64_t fallback);
-
-/// Worker-thread count for sweeps and the ported benches.  Reads the
+/// Worker-thread count for sweeps and the sweep service.  Reads the
 /// ALLARM_JOBS environment variable; when unset or invalid, returns
 /// `fallback`, or std::thread::hardware_concurrency() (at least 1) when
 /// `fallback` is 0.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "trace/writer.hh"
 
@@ -355,45 +354,41 @@ bool System::quiescent() const {
 
 void System::check_invariants(bool strict) const {
   // Gather every cached (line, node, state) triple into one flat vector and
-  // sort-group it by line: no per-line container allocations even when the
-  // periodic checker runs inside the measured region.
+  // sort-group it by line.  The vector is the checker's only allocation,
+  // sized exactly and sorted in place: it runs at the end of every
+  // simulation (and periodically inside the measured region), so its
+  // footprint adds to every concurrent run's peak memory.
   struct Holder {
     LineAddr line;
     NodeId node;
     LineState state;
   };
+  std::size_t total = 0;
+  for (NodeId n = 0; n < config_.num_nodes(); ++n) {
+    total += caches_[n]->hierarchy().occupancy();
+  }
   std::vector<Holder> held;
+  held.reserve(total);
   for (NodeId n = 0; n < config_.num_nodes(); ++n) {
     caches_[n]->hierarchy().for_each([&held, n](LineAddr line, LineState s) {
       held.push_back(Holder{line, n, s});
     });
   }
-  // Stable: holders of one line keep their node-major discovery order (the
-  // per-line duplicate check below relies on equal nodes being adjacent).
-  std::stable_sort(held.begin(), held.end(),
-                   [](const Holder& a, const Holder& b) {
-                     return a.line < b.line;
-                   });
+  // Node-ascending within a line: the per-line duplicate check below
+  // relies on equal nodes being adjacent.
+  std::sort(held.begin(), held.end(), [](const Holder& a, const Holder& b) {
+    return a.line != b.line ? a.line < b.line : a.node < b.node;
+  });
 
   auto fail = [](const std::string& what, LineAddr line) {
     throw std::logic_error("invariant violation: " + what + " (line " +
                            std::to_string(line) + ")");
   };
 
-  // Group index for the strict phase: line -> [begin, end) in `held`.
-  // Only populated under strict -- the periodic (non-strict) checker runs
-  // inside the measured region and must stay allocation-light.
-  FlatMap<LineAddr, std::pair<std::uint32_t, std::uint32_t>> groups;
-  if (strict) groups.reserve(held.size());
-
   for (std::size_t begin = 0; begin < held.size();) {
     const LineAddr line = held[begin].line;
     std::size_t end = begin;
     while (end < held.size() && held[end].line == line) ++end;
-    if (strict) {
-      groups.try_emplace(line, static_cast<std::uint32_t>(begin),
-                         static_cast<std::uint32_t>(end));
-    }
 
     int m = 0, e = 0, o = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -449,9 +444,13 @@ void System::check_invariants(bool strict) const {
   for (NodeId h = 0; h < config_.num_nodes(); ++h) {
     dirs_[h]->probe_filter().for_each([&](const PfEntry& entry) {
       if (dirs_[h]->line_busy(entry.line)) return;
-      const auto* range = groups.find(entry.line);
-      const std::uint32_t begin = range ? range->first : 0;
-      const std::uint32_t end = range ? range->second : 0;
+      // The line's holders: [begin, end) in `held`, empty when uncached.
+      const auto first = std::lower_bound(
+          held.begin(), held.end(), entry.line,
+          [](const Holder& a, LineAddr line) { return a.line < line; });
+      const auto begin = static_cast<std::uint32_t>(first - held.begin());
+      std::uint32_t end = begin;
+      while (end < held.size() && held[end].line == entry.line) ++end;
       const std::uint32_t count = end - begin;
       switch (entry.state) {
         case PfState::kEM: {

@@ -10,14 +10,6 @@ void CollectSink::begin(const SweepMeta& meta) {
   out_.cells.clear();
 }
 
-void CollectSink::cell(CellResult&& cell) {
-  if (retain_ == Retain::kFirstRunOnly && cell.runs.size() > 1) {
-    cell.runs.resize(1);
-    cell.runs.shrink_to_fit();
-  }
-  out_.cells.push_back(std::move(cell));
-}
-
 void TeeSink::begin(const SweepMeta& meta) {
   for (ResultSink* sink : sinks_) sink->begin(meta);
 }

@@ -4,9 +4,9 @@
 // grid order, then destroys it — the sink decides what survives.  The
 // streaming report writers (runner/report.hh) serialize cells straight to
 // an ostream so a terabyte-grid sweep never holds more than O(jobs)
-// results; CollectSink rebuilds the in-memory SweepResult the figure
-// benches' random-access lookups need; TeeSink fans one stream into many
-// (JSON file + CSV file + collection in one pass).
+// results; CollectSink rebuilds the in-memory SweepResult that
+// SweepRunner::run() returns; TeeSink fans one stream into many (JSON
+// file + CSV file + collection in one pass).
 //
 // Sink methods are always invoked from the thread that called
 // run_streaming(), so implementations need no locking.
@@ -38,25 +38,18 @@ class ResultSink {
   virtual void end() {}
 };
 
-/// Rebuilds an in-memory SweepResult from the stream.
+/// Rebuilds an in-memory SweepResult from the stream, raw runs included.
 class CollectSink : public ResultSink {
  public:
-  /// What to keep of each cell's raw per-replicate RunResults.  Summaries
-  /// (runtime, stats) always survive; the raw runs dominate memory.
-  enum class Retain {
-    kAllRuns,         ///< Keep every replicate (SweepRunner::run()).
-    kFirstRunOnly,    ///< Keep runs[0] (enough for PairResult lookups).
-  };
-
-  explicit CollectSink(SweepResult& out, Retain retain = Retain::kAllRuns)
-      : out_(out), retain_(retain) {}
+  explicit CollectSink(SweepResult& out) : out_(out) {}
 
   void begin(const SweepMeta& meta) override;
-  void cell(CellResult&& cell) override;
+  void cell(CellResult&& cell) override {
+    out_.cells.push_back(std::move(cell));
+  }
 
  private:
   SweepResult& out_;
-  Retain retain_;
 };
 
 /// Forwards every call to each of `sinks`, in order.  Only the LAST sink

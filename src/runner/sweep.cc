@@ -82,6 +82,19 @@ void fold_config(Fnv1a64& h, const SystemConfig& c) {
   h.update_u64(static_cast<std::uint64_t>(c.local_hop_latency));
 }
 
+/// One configuration point's identity.  The migration interval folds in
+/// only when set, so every grid without migration keeps the hashes its
+/// journals were stamped with.
+void fold_point(Fnv1a64& h, const ConfigPoint& point) {
+  h.update(point.label);
+  h.update_u32(static_cast<std::uint32_t>(point.policy));
+  fold_config(h, point.config);
+  if (point.migration_interval != 0) {
+    h.update(std::string("migrate"));
+    h.update_u64(point.migration_interval);
+  }
+}
+
 /// What one job contributed, executed or restored from a journal: a
 /// result, or (quarantine path) a structured failure that the cell reports
 /// instead of a replicate's samples.
@@ -228,11 +241,7 @@ std::uint64_t spec_hash(const SweepSpec& spec) {
   h.update_u64(spec.workloads.size());
   for (const auto& w : spec.workloads) h.update(w);
   h.update_u64(spec.configs.size());
-  for (const auto& point : spec.configs) {
-    h.update(point.label);
-    h.update_u32(static_cast<std::uint32_t>(point.policy));
-    fold_config(h, point.config);
-  }
+  for (const auto& point : spec.configs) fold_point(h, point);
   h.update_u64(spec.modes.size());
   for (const DirectoryMode mode : spec.modes) {
     h.update_u32(static_cast<std::uint32_t>(mode));
@@ -279,10 +288,7 @@ std::uint64_t cell_hash(const SweepSpec& spec, std::uint64_t cell_index) {
   // a different binding.
   h.update_u64(cell_index);
   h.update(spec.workloads[w]);
-  const ConfigPoint& point = spec.configs[c];
-  h.update(point.label);
-  h.update_u32(static_cast<std::uint32_t>(point.policy));
-  fold_config(h, point.config);
+  fold_point(h, spec.configs[c]);
   h.update_u32(static_cast<std::uint32_t>(spec.modes[m]));
   h.update_u32(spec.replicates);
   h.update_u64(spec.accesses_per_thread);
@@ -416,21 +422,6 @@ const CellResult* SweepResult::find(const std::string& workload,
   return nullptr;
 }
 
-core::PairResult SweepResult::pair(const std::string& workload,
-                                   const std::string& config_label,
-                                   std::uint32_t replicate) const {
-  const CellResult* base = find(workload, config_label, DirectoryMode::kBaseline);
-  const CellResult* allarm = find(workload, config_label, DirectoryMode::kAllarm);
-  if (base == nullptr || allarm == nullptr) {
-    throw std::out_of_range("sweep has no baseline/ALLARM pair for " +
-                            workload + "/" + config_label);
-  }
-  core::PairResult pair;
-  pair.baseline = base->runs.at(replicate);
-  pair.allarm = allarm->runs.at(replicate);
-  return pair;
-}
-
 std::vector<Job> expand_jobs(const SweepSpec& spec) {
   const WorkloadFactory factory =
       spec.make_workload
@@ -457,6 +448,7 @@ std::vector<Job> expand_jobs(const SweepSpec& spec) {
           job.request.spec = workload_spec;
           job.request.seed = job_seed(spec.base_seed, w, r);
           job.request.policy = point.policy;
+          job.request.migration_interval = point.migration_interval;
           job.request.profile = spec.profile;
           // Traces pair with jobs by grid index (== jobs.size() here:
           // the loops enumerate the grid in order), so a capture run's

@@ -11,7 +11,7 @@
 // Three execution shapes share that core:
 //
 //  - run():           fold everything into an in-memory SweepResult
-//                     (the figure benches' random-access case);
+//                     (tests' random-access case);
 //  - run_streaming(): emit each CellResult as its last replicate finishes
 //                     and drop it — O(jobs), not O(grid), results stay
 //                     resident; optionally journal every finished job to
@@ -44,6 +44,10 @@ struct ConfigPoint {
   std::string label;
   SystemConfig config;
   numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch;
+  /// When nonzero, every run migrates one thread per interval
+  /// (RunOptions::migration_interval).  Hashed only when set, so grids
+  /// without migration keep their spec and cell hashes.
+  Tick migration_interval = 0;
 };
 
 /// Builds the workload for one (workload name, machine) pair.
@@ -188,13 +192,6 @@ struct SweepResult {
   const CellResult* find(const std::string& workload,
                          const std::string& config_label,
                          DirectoryMode mode) const;
-
-  /// Baseline/ALLARM pair of a (workload, config) cell pair, built from
-  /// replicate `replicate` of each.  Throws std::out_of_range when either
-  /// cell or replicate is missing.
-  core::PairResult pair(const std::string& workload,
-                        const std::string& config_label,
-                        std::uint32_t replicate = 0) const;
 };
 
 /// One shard of a sweep: `index` of `count`, 1-based (the `--shard K/N`

@@ -400,19 +400,12 @@ WorkloadSpec make_from_params(const ProfileParams& params,
   return spec;
 }
 
-WorkloadSpec make_benchmark(const std::string& name,
-                            const SystemConfig& config,
-                            std::uint64_t accesses_per_thread) {
-  return make_from_params(benchmark_params(name), config, accesses_per_thread,
-                          config.num_cores);
-}
+namespace {
 
-const std::vector<std::string>& multiprocess_benchmark_names() {
-  static const std::vector<std::string> names = {
-      "barnes", "cholesky", "ocean-cont", "ocean-non-cont"};
-  return names;
-}
-
+/// The Section III-B multi-process workload behind `<name>-2p`: two
+/// single-threaded copies of `name` in separate address spaces on distant
+/// nodes, with a small fraction of pages spilled to neighbouring nodes
+/// (memory-capacity pressure at a single controller, as the paper says).
 WorkloadSpec make_multiprocess(const std::string& name,
                                const SystemConfig& config,
                                std::uint64_t accesses_per_thread) {
@@ -466,6 +459,27 @@ WorkloadSpec make_multiprocess(const std::string& name,
     }
   };
   return spec;
+}
+
+}  // namespace
+
+WorkloadSpec make_benchmark(const std::string& name,
+                            const SystemConfig& config,
+                            std::uint64_t accesses_per_thread) {
+  const std::string suffix = "-2p";
+  if (name.size() > suffix.size() &&
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+    return make_multiprocess(name.substr(0, name.size() - suffix.size()),
+                             config, accesses_per_thread);
+  }
+  return make_from_params(benchmark_params(name), config, accesses_per_thread,
+                          config.num_cores);
+}
+
+const std::vector<std::string>& multiprocess_benchmark_names() {
+  static const std::vector<std::string> names = {
+      "barnes", "cholesky", "ocean-cont", "ocean-non-cont"};
+  return names;
 }
 
 }  // namespace allarm::workload

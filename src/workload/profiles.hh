@@ -108,7 +108,9 @@ const std::vector<std::string>& benchmark_names();
 /// Parameters for a named benchmark; throws std::out_of_range when unknown.
 const ProfileParams& benchmark_params(const std::string& name);
 
-/// Builds the 16-thread (one per core) workload for a named benchmark.
+/// Builds the 16-thread (one per core) workload for a named benchmark, or,
+/// for `<name>-2p`, the Section III-B two-process variant of `name` (two
+/// single-threaded copies in separate address spaces on distant nodes).
 WorkloadSpec make_benchmark(const std::string& name, const SystemConfig& config,
                             std::uint64_t accesses_per_thread);
 
@@ -118,15 +120,8 @@ WorkloadSpec make_from_params(const ProfileParams& params,
                               std::uint64_t accesses_per_thread,
                               std::uint32_t num_threads);
 
-/// Names of the benchmarks used in the multi-process experiment (Figure 4).
+/// Names of the benchmarks used in the multi-process experiment (Figure 4);
+/// make_benchmark builds each as `<name>-2p`.
 const std::vector<std::string>& multiprocess_benchmark_names();
-
-/// Builds the Section III-B multi-process workload: two single-threaded
-/// copies of `name` in separate address spaces on distant nodes, with a
-/// small fraction of pages spilled to neighbouring nodes (memory-capacity
-/// pressure at a single controller, as the paper describes).
-WorkloadSpec make_multiprocess(const std::string& name,
-                               const SystemConfig& config,
-                               std::uint64_t accesses_per_thread);
 
 }  // namespace allarm::workload

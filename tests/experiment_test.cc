@@ -1,9 +1,7 @@
 // Tests for the experiment harness and the remaining protocol edges:
 // queued writeback processing, writeback-buffer probe supply, message
-// naming, and the harness helpers the benches rely on.
+// naming, and the run_single harness the examples rely on.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "coherence/messages.hh"
 #include "core/experiment.hh"
@@ -33,27 +31,20 @@ TEST(Messages, NamesAndSizes) {
   EXPECT_EQ(coherence::size_of(MsgKind::kComplete, config), 8u);
 }
 
-TEST(Experiment, RunPairIsSelfConsistent) {
+TEST(Experiment, RunSingleIsSelfConsistentAcrossModes) {
   SystemConfig config = small_config();
   std::vector<workload::Access> script;
   for (std::uint32_t i = 0; i < 64; ++i) script.push_back(load(priv(0, i)));
   const auto spec = make_scripted({{0, script}});
-  const auto pair = core::run_pair(config, spec, 11);
-  EXPECT_GT(pair.baseline.runtime, 0u);
-  EXPECT_GT(pair.allarm.runtime, 0u);
-  EXPECT_GT(pair.speedup(), 0.0);
+  const auto base =
+      core::run_single(config, DirectoryMode::kBaseline, spec, 11);
+  const auto allarm =
+      core::run_single(config, DirectoryMode::kAllarm, spec, 11);
+  EXPECT_GT(base.runtime, 0u);
+  EXPECT_GT(allarm.runtime, 0u);
+  EXPECT_GT(base.stats.get("pf.inserts"), 0.0);
   // Purely local workload: ALLARM allocates nothing.
-  EXPECT_DOUBLE_EQ(pair.normalized("pf.inserts"), 0.0);
-}
-
-TEST(Experiment, BenchAccessesReadsEnvironment) {
-  unsetenv("ALLARM_BENCH_ACCESSES");
-  EXPECT_EQ(core::bench_accesses(1234), 1234u);
-  setenv("ALLARM_BENCH_ACCESSES", "777", 1);
-  EXPECT_EQ(core::bench_accesses(1234), 777u);
-  setenv("ALLARM_BENCH_ACCESSES", "garbage", 1);
-  EXPECT_EQ(core::bench_accesses(1234), 1234u);
-  unsetenv("ALLARM_BENCH_ACCESSES");
+  EXPECT_DOUBLE_EQ(allarm.stats.normalized_to(base.stats, "pf.inserts"), 0.0);
 }
 
 TEST(Protocol, WritebackBufferSuppliesDataToProbe) {

@@ -576,6 +576,121 @@ TEST(SpecHash, BuiltinGridIdentityIsPinnedAcrossVersions) {
   for (std::uint64_t cell = 0; cell < cells.size(); ++cell) {
     EXPECT_EQ(runner::cell_hash(spec, cell), cells[cell]) << "cell " << cell;
   }
+
+  // The paper grids, taken before fig4/ablation joined the catalog and
+  // before ConfigPoint grew a migration interval.
+  struct Pin {
+    const char* grid;
+    std::uint64_t spec;
+    std::vector<std::uint64_t> cells;
+  };
+  const Pin pins[] = {
+      {"fig3", 0x5d80fa9f3225d444ull,
+       {
+0x8cd1bdcffa39b8faull, 0x3e775a1dfe5fdf26ull, 0x19647ef628165b03ull,
+        0x105d8912782b6cb7ull, 0x975d8c241b1aadbdull, 0x2abf1b9dc2d67bcdull,
+        0xd06fc6f559ae4f03ull, 0xc23e4c0b62d893adull, 0x2a0910010d26b501ull,
+        0x35f6e6d4ddb90fc1ull, 0x1c06b1cb788bdb4aull, 0x48cd4a4b91ab008eull,
+        0xb4f84aac57d152cfull, 0x5dc86d4981b361e7ull, 0x3a7085fe11e4969eull,
+        0x5f8cde0ac4a9882eull}},
+      {"fig3h", 0x87560de68449a97aull,
+       {
+0x7027b922098beed9ull, 0xff76c3ff522c78fbull, 0xbf36babf80c383deull,
+        0xd1ef85a7c6cac36cull, 0x80556d78c968477eull, 0x4ee5c6c48b8bb6c8ull,
+        0x987af18492ec8592ull, 0x76c66f20a7c74410ull, 0x69c8dbcd5530911dull,
+        0x92da6d7217218d77ull, 0x9cb45a95bcf42a21ull, 0x7c1fa0b8b04d0a27ull,
+        0xd322ef1114ec68b4ull, 0xb4dc94e9b74516aeull, 0x92471fca9d9135f3ull,
+        0xe311b39309c2e679ull, 0x6c515eb3e130cbbbull, 0x266c768fa8af4f75ull,
+        0x330ccced8e8453d8ull, 0xd4ed39fc29d16b54ull, 0x847f3132f632ec6bull,
+        0x753e95423f16cb3full, 0x83f26cf4f16dc15bull, 0xdc0518f00273f973ull,
+        0xb2d2400e76348982ull, 0x2d9a5faf1af0413cull, 0x5b9468f0433850a9ull,
+        0xdba36342fe129e4full, 0x45a3979b35319c65ull, 0xe6bd16139b41c687ull,
+        0x91512a2dda2ad9bdull, 0x76c6c3cbd871ee13ull, 0xcf247e41ad6ac736ull,
+        0xb30268306d88d568ull, 0xa90df32f2f995066ull, 0x03c4409dc84abb04ull,
+        0x9771f74c5d5a9dd4ull, 0xe5b21c23e64d7f72ull, 0x310b93bcb9289e93ull,
+        0x6830b5dab02531edull, 0x1da2f71f65156f3full, 0xe131ae24de60b0c5ull,
+        0x444e46b1949cbb43ull, 0x5be49c13abe978e1ull, 0x31db60d808326148ull,
+        0xcdf6614f9846dfcaull, 0x29103ebfd7780d38ull, 0x50cb55decad4cfc6ull}},
+      {"policy", 0xff968fcae4e45968ull,
+       {
+0x9d6aab6ece3fdcbaull, 0xe57661cfaa945544ull, 0x3553266adcb8a913ull,
+        0x1c21553281424807ull, 0x81c9c5b7a261c9dfull, 0xa702be63452f31adull,
+        0x9fff7489516ff8acull, 0xbfc8f5d490e0eb60ull, 0xed7d77f67c78773bull,
+        0xa477979adfe96e2dull, 0x058a2e86815966c0ull, 0x94413bb8992d5c28ull,
+        0xcc4bcf4a6cf7da51ull, 0x1ef8a7d990a8c969ull, 0xcb06d0a933e25eccull,
+        0x544acc2939bcf9eeull, 0x1126e4a351c2f619ull, 0xc848dcd6486ec653ull,
+        0x4a0ab6cd6505d8a4ull, 0xf157f2be46ce0d2cull, 0xb3a757792888a570ull,
+        0xbc5aaf6a06a9d396ull, 0x8f2a796dd6aa7d65ull, 0x3a1a6ea70a75c239ull,
+        0x679e7a972e7c5d27ull, 0xdf4ff8ad4ef2e625ull, 0x00d23c983adea58eull,
+        0x1848fcdb5315d12eull, 0x6e156e6af6a0d7c2ull, 0x3d9220940647e380ull,
+        0xe99335b3a0685515ull, 0x66af3ed97325261dull}},
+      {"region", 0x64d5f48f715fb989ull,
+       {
+0x69162a81d4b61b8dull, 0xd4f2975ab1633f27ull, 0x39672f46efdba75dull,
+        0xcba401e1437f6708ull, 0x9b6185f8107a46d8ull, 0x83d46d2eed632e88ull,
+        0xfb8b07b85495e455ull, 0xf9e946d7c2306685ull, 0x18f22b3096f26dcdull,
+        0xf917e8280e498be5ull, 0xa9cde35816918029ull, 0x799ed3c886e26a09ull,
+        0xc54fa9b42e910a80ull, 0xa70b941255f3631eull, 0x60ba90fe148691d8ull,
+        0xa6af9b386946ce6dull, 0x0b9deccdf2b63901ull, 0x40a567968a0ef195ull,
+        0x6aa037144d15be26ull, 0x90c690a7d04ca1c6ull, 0x55c282a59b47d58aull,
+        0x7e38868d7a0810b4ull, 0xfd325eed80dd0f84ull, 0x7c1e6932e26aa510ull,
+        0x1e3e5a198e1af6a0ull, 0xfb698d142538894aull, 0x1ce67d3e038a3614ull,
+        0x799a75ed9c837a91ull, 0xd5dfc8ed41478e8dull, 0x2e00dda22d435135ull,
+        0xbe00ef83215f12baull, 0x2be17899dd6bb1e6ull, 0xd2d15a9ca4593782ull,
+        0xc0d133d776b9c5c0ull, 0x21dacd96d22ccba0ull, 0x2a4e1bc7d4e95a40ull,
+        0x04523624dedc4e16ull, 0x45f204096aa01746ull, 0xf2286c6eb0869c5aull,
+        0xd4e7808fe6d96e15ull, 0x8739cbc33b3ccd7bull, 0x834ce006db76a3edull,
+        0xcab9ac1e2d6d83ceull, 0x5185a0fb90756d18ull, 0x7382de134574cf6aull,
+        0x755b0ce0cf895650ull, 0x79dbee3d6924b8ceull, 0xec9b011c8d63e9e4ull,
+        0xf465f0884f55e27eull, 0x3d2c723d1eee2718ull, 0x01a950edccb6b09aull,
+        0xc413419e733981d3ull, 0x40523ff5bc606dabull, 0x0c3c5f922bbb21dfull,
+        0x7152be32500d6d3aull, 0x275ad331fedfd23eull, 0x42539278ffecc66eull,
+        0x2a278f2098eebb82ull, 0x55278bb261623b8eull, 0x466ac4dcb2fb6942ull,
+        0x3a12ed3f6f18502bull, 0xf23f28b59b075fe1ull, 0xf715e1d1e5d2b523ull,
+        0x03821dd130e8ae12ull, 0x1fa3c546247bfabaull, 0x36f867adaedd6cfaull,
+        0x5a80e3669aabe2a3ull, 0xbdd09a983ba37de3ull, 0xbc67f34e2d6c0ad3ull,
+        0x826f9c4a248b227bull, 0x7d8dafdc07a58737ull, 0x09e491aad4556b67ull,
+        0x76d976e3d8025638ull, 0xf9f5e2b21aaf38b6ull, 0xee19126fa813a280ull,
+        0x517a00fd955d613dull, 0x7b54a21498d26ebdull, 0xb0fb45b25196c81dull,
+        0x5b800d29febb54e4ull, 0x6bad85ed3313b660ull, 0xdc567c353e7d97a4ull,
+        0x266f2da96ccf9ce0ull, 0x2197c1b3b9feb834ull, 0x0275f2591f06ef6cull,
+        0xa3e430c7c28a519dull, 0xdfbe1f827eb9bf53ull, 0xdf5c8c15f65b36b9ull,
+        0xa3b4038df88d2ba4ull, 0xeb553ef86b9f8e88ull, 0xeeba8547966a4e60ull,
+        0xdcaecabb2241f713ull, 0x6f302b02208d4797ull, 0x178d1633dd03d07bull,
+        0x52651236b27bf79dull, 0x8367442de2dc216dull, 0x887c7e628cfc120dull}},
+  };
+  for (const Pin& pin : pins) {
+    const runner::SweepSpec grid = runner::make_builtin_grid(pin.grid, knobs);
+    EXPECT_EQ(runner::spec_hash(grid), pin.spec) << pin.grid;
+    ASSERT_EQ(grid.cell_count(), pin.cells.size()) << pin.grid;
+    for (std::uint64_t cell = 0; cell < pin.cells.size(); ++cell) {
+      EXPECT_EQ(runner::cell_hash(grid, cell), pin.cells[cell])
+          << pin.grid << " cell " << cell;
+    }
+  }
+}
+
+TEST(SpecHash, MigrationIntervalFoldsInOnlyWhenSet) {
+  // The quick grid of the pin above: a zero interval keeps its literal
+  // hashes, so journals written before the knob existed keep resuming.
+  runner::GridKnobs knobs;
+  knobs.seeds = 2;
+  knobs.accesses = 500;
+  runner::SweepSpec spec = runner::make_builtin_grid("quick", knobs);
+  const std::uint64_t spec_before = 0x136c1aafe524a9beull;
+  const std::uint64_t cell_before = 0x8cd1bdcffa39b8faull;
+
+  spec.configs[0].migration_interval = 0;
+  EXPECT_EQ(runner::spec_hash(spec), spec_before);
+  EXPECT_EQ(runner::cell_hash(spec, 0), cell_before);
+
+  spec.configs[0].migration_interval = ticks_from_ns(50000.0);
+  const std::uint64_t spec_50us = runner::spec_hash(spec);
+  EXPECT_NE(spec_50us, spec_before);
+  EXPECT_NE(runner::cell_hash(spec, 0), cell_before);
+
+  spec.configs[0].migration_interval = ticks_from_ns(200000.0);
+  EXPECT_NE(runner::spec_hash(spec), spec_50us);
 }
 
 // ------------------------------------------------------------- sharding ----

@@ -5,7 +5,8 @@
 // scheduling and executing events whose closures fit sim::Event's inline
 // buffer performs ZERO heap allocations -- the node arena, the far heap
 // and the buckets all recycle their capacity.  The same wrappers count
-// bytes, pinning how much one simulated machine allocates.
+// bytes, pinning how much one simulated machine and its end-of-run
+// invariant check allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -190,6 +191,34 @@ TEST(KernelAllocations, TableISystemAllocatesAtMostThreeMiB) {
       g_new_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LE(bytes, std::uint64_t{3} << 20)
       << "a Table-I System allocated " << bytes << " bytes";
+}
+
+TEST(KernelAllocations, InvariantCheckAllocatesOneRecordPerCachedLine) {
+  // The strict checker ends every run while other workers' runs are still
+  // live, so its scratch adds to the host's peak memory: one 16-byte
+  // (line, node, state) record per cached line, and nothing else.
+#if !ALLARM_COUNTING_NEW
+  GTEST_SKIP() << "AddressSanitizer owns operator new; bytes are not counted";
+#endif
+  const SystemConfig config;
+  const workload::WorkloadSpec spec =
+      workload::make_benchmark("ocean-cont", config, 500);
+  core::System system(config);
+  core::RunOptions options;
+  options.seed = 42;
+  system.run(spec, options);
+  std::uint64_t lines = 0;
+  for (NodeId n = 0; n < config.num_nodes(); ++n) {
+    lines += system.cache(n).hierarchy().occupancy();
+  }
+  ASSERT_GT(lines, 0u);
+  const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+  system.check_invariants(/*strict=*/true);
+  const std::uint64_t bytes =
+      g_new_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, lines * 16)
+      << "the invariant check allocated " << bytes << " bytes for " << lines
+      << " cached lines";
 }
 
 }  // namespace

@@ -203,11 +203,14 @@ TEST_P(CrossModeProperty, AllarmInsertsOnlyOnRemoteMisses) {
   // the baseline, inserts are bounded by all requests.
   SystemConfig config;
   const auto spec = workload::make_benchmark(GetParam(), config, 600);
-  const auto pair = core::run_pair(config, spec, 41);
-  EXPECT_LE(pair.allarm.stats.get("pf.inserts"),
-            pair.allarm.stats.get("dir.remote_requests") + 32.0);
-  EXPECT_LE(pair.baseline.stats.get("pf.inserts"),
-            pair.baseline.stats.get("dir.requests") + 32.0);
+  const auto allarm =
+      core::run_single(config, DirectoryMode::kAllarm, spec, 41);
+  const auto base =
+      core::run_single(config, DirectoryMode::kBaseline, spec, 41);
+  EXPECT_LE(allarm.stats.get("pf.inserts"),
+            allarm.stats.get("dir.remote_requests") + 32.0);
+  EXPECT_LE(base.stats.get("pf.inserts"),
+            base.stats.get("dir.requests") + 32.0);
 }
 
 TEST_P(CrossModeProperty, HiddenFractionIsAValidProbability) {

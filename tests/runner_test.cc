@@ -1,6 +1,6 @@
 // Tests for the parallel sweep runner: per-cell seed derivation, the
 // work-stealing pool, scheduling-independent sweep output, and the
-// ALLARM_JOBS environment handling the ported benches rely on.
+// ALLARM_JOBS environment handling the sweep CLI and service rely on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -271,9 +271,6 @@ TEST(SweepRunner, AggregatesReplicatesPerCell) {
   ASSERT_NE(base, nullptr);
   ASSERT_NE(allarm, nullptr);
   EXPECT_EQ(base->seeds, allarm->seeds);
-
-  const auto pair = result.pair("alpha", "small");
-  EXPECT_GT(pair.speedup(), 0.0);
 }
 
 TEST(SweepRunner, RejectsEmptyAxes) {

@@ -114,7 +114,7 @@ TEST(System, PeriodicInvariantChecksPass) {
 
 TEST(System, MultiprocessWorkloadRuns) {
   SystemConfig config;
-  const auto spec = workload::make_multiprocess("cholesky", config, 2000);
+  const auto spec = workload::make_benchmark("cholesky-2p", config, 2000);
   for (auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm}) {
     const auto r = core::run_single(config, mode, spec, 5);
     EXPECT_EQ(r.thread_finish.size(), 2u);

@@ -253,7 +253,8 @@ TEST(Profiles, ThreadsHaveDistinctPrivateRegions) {
 
 TEST(Profiles, MultiprocessBuildsTwoProcesses) {
   SystemConfig config;
-  const WorkloadSpec spec = make_multiprocess("barnes", config, 500);
+  const WorkloadSpec spec = make_benchmark("barnes-2p", config, 500);
+  EXPECT_EQ(spec.name, "barnes-2p");
   ASSERT_EQ(spec.threads.size(), 2u);
   EXPECT_NE(spec.threads[0].asid, spec.threads[1].asid);
   EXPECT_NE(spec.threads[0].node, spec.threads[1].node);
