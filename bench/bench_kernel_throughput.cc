@@ -1,224 +1,194 @@
-// Event-kernel throughput benchmark.
+// Simulator throughput benchmark: host nanoseconds per simulated event.
 //
-// Measures raw discrete-event throughput (events/sec, ns/event) of the
-// simulation kernel across three representative workloads:
+// Each row times System::run over one path a sweep cell runs:
 //
-//   serial        - one thread streaming through its private working set
-//                   (the sparse-schedule case: long idle gaps between
-//                   events, exercises the far-horizon overflow heap);
-//   multithreaded - the 16-thread `ocean` profile (dense event interleaving
-//                   across all nodes, the sweep runner's common case);
-//   migration     - the same profile with periodic thread migration (adds
-//                   the System migration tick and cross-node traffic);
-//   zipf          - the 16-thread `dedup` profile, whose shared traffic is
-//                   Zipf-page sampling (the generator-bound case the
-//                   guide-table inverse-CDF accelerates).
+//   serial         ocean-cont's profile on one thread: long idle gaps
+//                  between events exercise the calendar's far-horizon
+//                  overflow heap;
+//   multithreaded  the 16-thread ocean-cont profile under the baseline
+//                  directory: dense event interleaving across all nodes,
+//                  the sweep's common case;
+//   migration      the same plus one thread migration every 20 us;
+//   zipf           the 16-thread dedup profile, whose shared traffic
+//                  samples Zipf-popular pages;
+//   allarm         multithreaded's workload under the ALLARM probe filter;
+//   region/rN      the same under the region directory with N-byte
+//                  regions.  region/r64 is one line per region, which runs
+//                  the baseline protocol with the region hooks gated off,
+//                  so it guards their hot-path cost against multithreaded;
+//   replay         zipf's run replayed from a .altr capture taken before
+//                  timing starts: trace decode replaces the generators.
 //
-// Simulations are deterministic, so each measurement is a min-of-N wall
-// clock around System::run.  Results are written to BENCH_kernel.json (see
-// docs/PERF.md for the schema) so the perf trajectory is tracked in CI.
-//
-// The hard-coded baseline numbers were measured on the pre-rewrite kernel
-// (std::function + std::priority_queue, commit ccbf067) on the same
-// machine class CI uses, with the default budget below.  The JSON reports
-// measured/baseline speedup per workload; the acceptance bar for the
-// allocation-free kernel is >= 2x on the aggregate events/sec.
+// A row is the minimum over --reps of the wall time around System::run;
+// construction is not timed.  Rows run in a fixed order, each built just
+// before it is timed, so a row sees the same allocator history in every
+// build.  scripts/check_bench.py runs this binary from the parent commit
+// and from the change in interleaved rounds and gates the change on the
+// ratio of their ns_per_event (docs/PERF.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_cli.hh"
+#include "cli.hh"
 #include "common/fileio.hh"
 #include "common/stats.hh"
+#include "core/experiment.hh"
 #include "core/system.hh"
 #include "sim/event.hh"
+#include "trace/reader.hh"
+#include "trace/replay.hh"
 #include "workload/profiles.hh"
 
 namespace allarm::bench {
 namespace {
 
-struct WorkloadResult {
-  std::string name;
-  std::uint64_t events = 0;       ///< Events executed in the measured run.
-  double wall_seconds = 0.0;      ///< Best-of-reps wall time.
-  double events_per_sec = 0.0;
-  double ns_per_event = 0.0;
-  double baseline_events_per_sec = 0.0;  ///< Pre-rewrite kernel, same budget.
-  double speedup_vs_baseline = 0.0;
-  /// Events whose closure overflowed sim::Event's inline buffer (counted
-  /// across all reps; the allocation-free claim expects 0).
-  std::uint64_t event_heap_fallbacks = 0;
-};
-
-/// Budget the baselines below were recorded at; other budgets disable the
-/// comparison (throughput varies with warmup fraction and working-set
-/// size, so cross-budget speedups would be apples-to-oranges).
-constexpr std::uint64_t kBaselineAccesses = 20000;
-
-/// Pre-rewrite kernel throughput (events/sec) at accesses=20000.
-/// 0 disables the comparison for a workload.
-double baseline_events_per_sec(const std::string& workload,
-                               std::uint64_t accesses) {
-  if (accesses != kBaselineAccesses) return 0.0;
-  if (workload == "serial") return 6.58e6;
-  if (workload == "multithreaded") return 3.62e6;
-  if (workload == "migration") return 4.69e6;
-  // "zipf" has no pre-rewrite reference: the workload was added together
-  // with the generator front-end work.
-  return 0.0;
-}
-
 struct Options {
   std::uint64_t accesses = 20000;
-  int reps = 3;
+  std::uint64_t reps = 3;
   std::string out = "BENCH_kernel.json";
-  /// When non-empty, run just these workloads (comma-separated names;
-  /// bench_cli.hh's selected()).
-  std::string only;
 };
 
-WorkloadResult measure(const std::string& name, const SystemConfig& config,
-                       const workload::WorkloadSpec& spec,
-                       const core::RunOptions& options, const Options& opt) {
-  const int reps = opt.reps;
-  WorkloadResult r;
+struct Row {
+  std::string name;
+  std::uint64_t events = 0;   ///< Events executed in one run.
+  double wall_seconds = 0.0;  ///< Best of --reps.
+  /// Events whose closure overflowed sim::Event's inline buffer, over all
+  /// reps; the allocation-free kernel expects 0.
+  std::uint64_t event_heap_fallbacks = 0;
+  double ns_per_event() const {
+    return wall_seconds * 1e9 / static_cast<double>(events);
+  }
+};
+
+Row measure(const std::string& name, const SystemConfig& config,
+            const workload::WorkloadSpec& spec,
+            const core::RunOptions& options, std::uint64_t reps) {
+  Row r;
   r.name = name;
   r.wall_seconds = 1e300;
   const std::uint64_t fallbacks_before = sim::Event::heap_fallbacks();
-  for (int i = 0; i < reps; ++i) {
+  for (std::uint64_t i = 0; i < reps; ++i) {
     core::System system(config);
     const auto t0 = std::chrono::steady_clock::now();
-    core::RunResult run = system.run(spec, options);
+    system.run(spec, options);
     const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    r.wall_seconds = std::min(
+        r.wall_seconds, std::chrono::duration<double>(t1 - t0).count());
     r.events = system.events().events_executed();
-    if (secs < r.wall_seconds) r.wall_seconds = secs;
   }
-  r.events_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds : 0.0;
-  r.ns_per_event =
-      r.events > 0 ? r.wall_seconds * 1e9 / static_cast<double>(r.events) : 0.0;
-  r.baseline_events_per_sec = baseline_events_per_sec(name, opt.accesses);
-  r.speedup_vs_baseline = r.baseline_events_per_sec > 0.0
-                              ? r.events_per_sec / r.baseline_events_per_sec
-                              : 0.0;
   r.event_heap_fallbacks = sim::Event::heap_fallbacks() - fallbacks_before;
   return r;
 }
 
-std::string to_json(const std::vector<WorkloadResult>& results,
-                    const Options& opt) {
+std::string to_json(const std::vector<Row>& rows, const Options& opt) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": \"kernel_throughput\",\n";
-  out << "  \"schema_version\": 1,\n";
-  out << meta_json();
   out << "  \"accesses_per_thread\": " << opt.accesses << ",\n";
   out << "  \"reps\": " << opt.reps << ",\n";
   out << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    out << "    {\n";
-    out << "      \"name\": " << json_quote(r.name) << ",\n";
-    out << "      \"events\": " << r.events << ",\n";
-    out << "      \"wall_seconds\": " << json_number(r.wall_seconds) << ",\n";
-    out << "      \"events_per_sec\": " << json_number(r.events_per_sec)
-        << ",\n";
-    out << "      \"ns_per_event\": " << json_number(r.ns_per_event) << ",\n";
-    out << "      \"baseline_events_per_sec\": "
-        << json_number(r.baseline_events_per_sec) << ",\n";
-    out << "      \"speedup_vs_baseline\": "
-        << json_number(r.speedup_vs_baseline) << ",\n";
-    out << "      \"event_heap_fallbacks\": " << r.event_heap_fallbacks
-        << "\n";
-    out << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    out << "    {\"name\": " << json_quote(r.name)
+        << ", \"events\": " << r.events
+        << ", \"wall_seconds\": " << json_number(r.wall_seconds)
+        << ", \"events_per_sec\": "
+        << json_number(static_cast<double>(r.events) / r.wall_seconds)
+        << ", \"ns_per_event\": " << json_number(r.ns_per_event())
+        << ", \"event_heap_fallbacks\": " << r.event_heap_fallbacks << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  {
-    std::vector<double> rates, speedups;
-    for (const WorkloadResult& r : results) {
-      rates.push_back(r.events_per_sec);
-      if (r.speedup_vs_baseline > 0.0) speedups.push_back(r.speedup_vs_baseline);
-    }
-    out << "  \"geomean_events_per_sec\": " << json_number(geomean(rates))
-        << ",\n";
-    out << "  \"geomean_speedup_vs_baseline\": "
-        << json_number(geomean(speedups)) << "\n";
-  }
+  out << "  ]\n";
   out << "}\n";
   return out.str();
 }
 
 int run(const Options& opt) {
-  const SystemConfig config;
-
-  std::vector<WorkloadResult> results;
-  const auto wanted = [&opt](const char* name) {
-    return selected(opt.only, name);
-  };
-
-  if (wanted("serial")) {
-    // Serial: one thread, private-heavy profile, no app sharing.
+  std::vector<Row> rows;
+  core::RunOptions seed42;
+  seed42.seed = 42;
+  {
+    const SystemConfig config;
     workload::ProfileParams params = workload::benchmark_params("ocean-cont");
     params.name = "serial";
-    const workload::WorkloadSpec spec =
-        workload::make_from_params(params, config, opt.accesses, 1);
-    core::RunOptions ro;
-    ro.seed = 42;
-    results.push_back(measure("serial", config, spec, ro, opt));
+    rows.push_back(measure(
+        "serial", config,
+        workload::make_from_params(params, config, opt.accesses, 1), seed42,
+        opt.reps));
   }
-  if (wanted("multithreaded")) {
-    // Multithreaded: the full 16-thread profile.
-    const workload::WorkloadSpec spec =
-        workload::make_benchmark("ocean-cont", config, opt.accesses);
-    core::RunOptions ro;
-    ro.seed = 42;
-    results.push_back(measure("multithreaded", config, spec, ro, opt));
+  {
+    const SystemConfig config;
+    rows.push_back(measure(
+        "multithreaded", config,
+        workload::make_benchmark("ocean-cont", config, opt.accesses), seed42,
+        opt.reps));
   }
-  if (wanted("migration")) {
-    // Migration: multithreaded plus a periodic thread migration tick.
-    const workload::WorkloadSpec spec =
-        workload::make_benchmark("ocean-cont", config, opt.accesses);
-    core::RunOptions ro;
-    ro.seed = 42;
-    ro.migration_interval = ticks_from_ns(20000.0);  // Every 20 us.
-    results.push_back(measure("migration", config, spec, ro, opt));
+  {
+    const SystemConfig config;
+    core::RunOptions migrating = seed42;
+    migrating.migration_interval = ticks_from_ns(20000.0);
+    rows.push_back(measure(
+        "migration", config,
+        workload::make_benchmark("ocean-cont", config, opt.accesses),
+        migrating, opt.reps));
   }
-  if (wanted("zipf")) {
-    // Zipf: dedup's shared structure is Zipf-page popularity — the profile
-    // whose per-access sampling cost the guide table attacks.
-    const workload::WorkloadSpec spec =
-        workload::make_benchmark("dedup", config, opt.accesses);
-    core::RunOptions ro;
-    ro.seed = 42;
-    results.push_back(measure("zipf", config, spec, ro, opt));
+  {
+    const SystemConfig config;
+    rows.push_back(measure(
+        "zipf", config, workload::make_benchmark("dedup", config, opt.accesses),
+        seed42, opt.reps));
   }
-  if (results.empty()) {
-    std::cerr << "unknown workload: " << opt.only << "\n";
-    return 2;
+  {
+    SystemConfig config;
+    config.directory_mode = DirectoryMode::kAllarm;
+    rows.push_back(measure(
+        "allarm", config,
+        workload::make_benchmark("ocean-cont", config, opt.accesses), seed42,
+        opt.reps));
+  }
+  for (const std::uint32_t region_bytes : {4096u, 1024u, 64u}) {
+    SystemConfig config;
+    config.directory_mode = DirectoryMode::kRegion;
+    config.region_size_bytes = region_bytes;
+    rows.push_back(measure(
+        "region/r" + std::to_string(region_bytes), config,
+        workload::make_benchmark("ocean-cont", config, opt.accesses), seed42,
+        opt.reps));
+  }
+  {
+    // The capture is zipf's run; the reader keeps the file open, so it is
+    // unlinked before timing and never outlives the process.
+    core::RunRequest capture;
+    capture.spec =
+        workload::make_benchmark("dedup", capture.config, opt.accesses);
+    capture.seed = 42;
+    capture.capture_trace = opt.out + ".capture.altr";
+    core::run_request(capture);
+    auto reader =
+        std::make_shared<const trace::TraceReader>(capture.capture_trace);
+    std::remove(capture.capture_trace.c_str());
+    rows.push_back(measure("replay", capture.config,
+                           trace::make_replay_workload(reader, capture.config),
+                           seed42, opt.reps));
   }
 
-  TextTable table({"workload", "events", "wall_s", "Mev/s", "ns/event",
-                   "speedup_vs_baseline"});
-  for (const WorkloadResult& r : results) {
+  TextTable table({"workload", "events", "wall_s", "Mev/s", "ns/event"});
+  for (const Row& r : rows) {
     table.add_row({r.name, std::to_string(r.events),
                    TextTable::fmt(r.wall_seconds, 3),
-                   TextTable::fmt(r.events_per_sec / 1e6, 2),
-                   TextTable::fmt(r.ns_per_event, 1),
-                   r.speedup_vs_baseline > 0.0
-                       ? TextTable::fmt(r.speedup_vs_baseline, 2)
-                       : "n/a"});
+                   TextTable::fmt(r.events / r.wall_seconds / 1e6, 2),
+                   TextTable::fmt(r.ns_per_event(), 1)});
   }
-  std::cout << "Event-kernel throughput (accesses=" << opt.accesses
+  std::cout << "Simulator throughput (accesses=" << opt.accesses
             << ", reps=" << opt.reps << ")\n"
             << table.to_string();
-
-  const std::string json = to_json(results, opt);
-  write_file_durable(opt.out, json);
+  write_file_durable(opt.out, to_json(rows, opt));
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }
@@ -230,24 +200,18 @@ int main(int argc, char** argv) {
   allarm::bench::Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
+    if (i + 1 < argc && arg == "--accesses") {
+      opt.accesses = allarm::cli::parse_u64("--accesses", argv[++i]);
+    } else if (i + 1 < argc && arg == "--reps") {
+      opt.reps = allarm::cli::parse_u64("--reps", argv[++i]);
+      if (opt.reps == 0) {
+        std::cerr << "--reps: expected at least 1\n";
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--accesses") {
-      opt.accesses = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--reps") {
-      opt.reps = std::atoi(value().c_str());
-    } else if (arg == "--out") {
-      opt.out = value();
-    } else if (arg == "--only") {
-      opt.only = value();
+    } else if (i + 1 < argc && arg == "--out") {
+      opt.out = argv[++i];
     } else {
       std::cerr << "usage: bench_kernel_throughput [--accesses N] [--reps N] "
-                   "[--only serial,multithreaded,migration,zipf] "
                    "[--out FILE]\n";
       return arg == "--help" ? 0 : 2;
     }

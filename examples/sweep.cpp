@@ -67,6 +67,7 @@
 //   --cell-backoff-ms N  backoff before the first retry (doubles per
 //                        attempt; default 100)
 //   --cell-timeout SEC   per-job wall-clock watchdog: a job running longer
+//                        than SEC (a positive decimal, e.g. 60 or 0.5)
 //                        aborts with a structured no-progress diagnostic
 //                        (then retries/quarantines like any failure)
 //   --quarantine         report permanently failing jobs as structured
@@ -135,7 +136,7 @@ struct Options {
   std::vector<std::uint32_t> cores;
   std::uint32_t cell_retries = 0;
   std::uint32_t cell_backoff_ms = 100;
-  double cell_timeout_s = 0.0;
+  std::uint64_t cell_timeout_ns = 0;
   bool quarantine = false;
   std::string failpoints;
 };
@@ -287,11 +288,7 @@ Options parse(int argc, char** argv) {
       options.cell_backoff_ms =
           static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
     } else if (std::strcmp(arg, "--cell-timeout") == 0) {
-      options.cell_timeout_s = std::strtod(value(i), nullptr);
-      if (options.cell_timeout_s <= 0.0) {
-        std::cerr << "--cell-timeout wants a positive number of seconds\n";
-        usage(2);
-      }
+      options.cell_timeout_ns = cli::parse_seconds_ns(arg, value(i));
     } else if (std::strcmp(arg, "--quarantine") == 0) {
       options.quarantine = true;
     } else if (std::strcmp(arg, "--failpoints") == 0) {
@@ -444,8 +441,7 @@ int main(int argc, char** argv) try {
   stream.max_outstanding = options.window;
   stream.cell_retries = options.cell_retries;
   stream.retry_backoff_ms = options.cell_backoff_ms;
-  stream.cell_timeout_ns =
-      static_cast<std::uint64_t>(options.cell_timeout_s * 1e9);
+  stream.cell_timeout_ns = options.cell_timeout_ns;
   stream.quarantine = options.quarantine;
 
   // Banner counts the jobs THIS run owns (scripts parse it, e.g. the

@@ -9,11 +9,12 @@
 #                      the sweep/sink/journal/sim span categories;
 #  3. sim timeline   - allarm_sim --timeline writes valid JSON with the sim
 #                      category;
-#  4. bad flags      - allarm_sim rejects an unknown --mode or --policy
-#                      and probe-filter geometry that does not fit, and
-#                      sweep/allarm_sim/allarm_serve reject malformed
-#                      integer values, with exit 2 and no report instead
-#                      of running something else;
+#  4. bad flags      - allarm_sim rejects an unknown --mode or --policy,
+#                      probe-filter geometry that does not fit and a
+#                      malformed --trace file, sweep rejects a malformed
+#                      --cell-timeout, and sweep/allarm_sim/allarm_serve
+#                      reject malformed integer values, with exit 2 and no
+#                      report instead of running something else;
 #  5. profile        - --profile adds a hist section with p50/p95/p99 for
 #                      every latency metric, in both the CLI report and a
 #                      service report requesting "profile": true;
@@ -110,6 +111,19 @@ for bad in -5 abc; do
         --accesses "$bad" --out "$WORK/bad.json"
 done
 expect_exit2 "$WORK/bad-spool" "$SERVE" --root "$WORK/bad-spool" --workers -1
+# Seconds must be a plain positive decimal: a unit suffix, nan, inf and a
+# nanosecond count past 64 bits are refused, not truncated or converted.
+for bad in 5s nan inf 1e300; do
+    expect_exit2 "$WORK/bad.json" "$SWEEP" --grid quick --seeds 1 \
+        --accesses 100 --cell-timeout "$bad" --out "$WORK/bad.json"
+done
+# A text trace line that is not "<tid> <L|S|I> <hex-addr>" is an error,
+# never a skipped or half-read line.
+printf '0 L 1000\n1 S 2000\nT2 L 3000\n0 L 4000zz\n1 Lx 5000 extra\n0 L -1\n' \
+    > "$WORK/bad-trace.txt"
+expect_exit2 "$WORK/none" "$SIM" --trace "$WORK/bad-trace.txt" --mode baseline
+[ ! -s "$WORK/refused.out" ] \
+    || { echo "FAIL: allarm_sim --trace bad-trace.txt printed a report"; exit 1; }
 echo "OK: bad flag values exit 2"
 
 echo "== 5/7 --profile exports hist.* quantiles =="

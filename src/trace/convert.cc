@@ -1,6 +1,7 @@
 #include "trace/convert.hh"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -20,18 +21,36 @@ char letter_of(AccessType t) {
   return '?';
 }
 
-AccessType type_of(char c, std::size_t line_no) {
-  switch (c) {
-    case 'L': case 'l': return AccessType::kLoad;
-    case 'S': case 's': return AccessType::kStore;
-    case 'I': case 'i': return AccessType::kInstFetch;
-    default:
-      throw std::runtime_error("trace line " + std::to_string(line_no) +
-                               ": unknown access type '" + c + "'");
-  }
+[[noreturn]] void reject(std::size_t line_no, const std::string& why) {
+  throw std::runtime_error("trace line " + std::to_string(line_no) + ": " +
+                           why);
 }
 
-}  // namespace
+AccessType type_of(const std::string& token, std::size_t line_no) {
+  if (token.size() == 1) {
+    switch (token[0]) {
+      case 'L': case 'l': return AccessType::kLoad;
+      case 'S': case 's': return AccessType::kStore;
+      case 'I': case 'i': return AccessType::kInstFetch;
+    }
+  }
+  reject(line_no, "unknown access type '" + token + "'");
+}
+
+/// `token` as an unsigned number in `base` (10 or 16) of at most `max`:
+/// digits only, so no sign, no trailing garbage and no wrap.
+std::uint64_t number_of(const std::string& token, int base, std::uint64_t max,
+                        const char* what, std::size_t line_no) {
+  const char* digits = base == 10 ? "0123456789" : "0123456789abcdefABCDEF";
+  if (!token.empty() && token.find_first_not_of(digits) == std::string::npos) {
+    try {
+      const std::uint64_t value = std::stoull(token, nullptr, base);
+      if (value <= max) return value;
+    } catch (const std::out_of_range&) {
+    }
+  }
+  reject(line_no, std::string("bad ") + what + " '" + token + "'");
+}
 
 void write_text_record(std::ostream& out, ThreadId thread,
                        const workload::Access& access) {
@@ -39,28 +58,29 @@ void write_text_record(std::ostream& out, ThreadId thread,
       << access.vaddr << std::dec << '\n';
 }
 
+}  // namespace
+
 bool TextTraceScanner::next(TextRecord& out) {
   while (std::getline(in_, line_)) {
     ++line_no_;
     const auto hash = line_.find('#');
     if (hash != std::string::npos) line_.erase(hash);
     std::istringstream fields(line_);
-    std::uint64_t thread = 0;
-    std::string type;
-    std::string addr;
+    std::string thread, type, addr, extra;
     if (!(fields >> thread)) continue;  // Blank / comment-only line.
-    if (!(fields >> type >> addr) || type.empty()) {
-      throw std::runtime_error("trace line " + std::to_string(line_no_) +
-                               ": expected '<tid> <L|S|I> <hex-addr>'");
+    if (!(fields >> type >> addr) || fields >> extra) {
+      reject(line_no_, "expected '<tid> <L|S|I> <hex-addr>'");
     }
-    out.thread = static_cast<ThreadId>(thread);
-    out.access.type = type_of(type[0], line_no_);
-    try {
-      out.access.vaddr = std::stoull(addr, nullptr, 16);
-    } catch (const std::exception&) {
-      throw std::runtime_error("trace line " + std::to_string(line_no_) +
-                               ": bad address '" + addr + "'");
-    }
+    out.thread = static_cast<ThreadId>(
+        number_of(thread, 10, std::numeric_limits<ThreadId>::max(),
+                  "thread id", line_no_));
+    out.access.type = type_of(type, line_no_);
+    const bool prefixed =
+        addr.size() > 2 && addr[0] == '0' && (addr[1] == 'x' || addr[1] == 'X');
+    out.access.vaddr =
+        number_of(prefixed ? addr.substr(2) : addr, 16,
+                  std::numeric_limits<std::uint64_t>::max(), "address",
+                  line_no_);
     return true;
   }
   return false;

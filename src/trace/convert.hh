@@ -2,10 +2,10 @@
 // "<tid> <L|S|I> <hex-addr>" line format and converters between it and
 // the binary .altr format.
 //
-// The scanner is the one implementation of the text grammar; the legacy
-// whole-file parser (workload::parse_trace) and the streaming converter
-// both sit on top of it, so the accepted language — comments, blank
-// lines, error messages with line numbers — cannot drift apart.
+// The scanner is the one implementation of the text grammar.  A line is
+// "<decimal tid> <L|S|I> <hex addr>": the type letter in either case, the
+// address with an optional 0x.  '#' starts a comment and blank lines are
+// skipped; any other line throws with its line number.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +25,6 @@ struct TextRecord {
   workload::Access access;
 };
 
-/// Formats one record as a text-trace line ("<tid> <L|S|I> <hex-addr>\n").
-/// The one implementation of the output grammar: workload::write_trace and
-/// write_text_trace below both emit through it.
-void write_text_record(std::ostream& out, ThreadId thread,
-                       const workload::Access& access);
-
 /// Pull scanner over the text format.  Throws std::runtime_error with a
 /// line number on malformed input; memory use is one line.
 class TextTraceScanner {
@@ -39,8 +33,6 @@ class TextTraceScanner {
 
   /// Scans the next record; returns false at end of input.
   bool next(TextRecord& out);
-
-  std::size_t line_number() const { return line_no_; }
 
  private:
   std::istream& in_;

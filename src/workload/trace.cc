@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -35,39 +34,6 @@ std::string temp_trace_path() {
   return path;
 }
 
-/// Sets the per-thread placement/timing metadata the text format does not
-/// carry, then assembles the replay workload.  Writer slots register in
-/// input-appearance order (streaming conversion cannot know the id set up
-/// front), but thread ORDER in the spec seeds the per-thread rng streams,
-/// so the assembled threads are sorted by id — which thread happens to
-/// appear first in the input must not change any stream.  Threads are
-/// placed on core (id mod cores).
-WorkloadSpec finish_text_workload(trace::TraceWriter&& writer,
-                                  const std::string& tmp_path,
-                                  const SystemConfig& config, Tick think) {
-  if (writer.meta().threads.empty()) {
-    throw std::invalid_argument("make_trace_workload: empty trace");
-  }
-  for (std::uint32_t slot = 0; slot < writer.meta().threads.size(); ++slot) {
-    trace::TraceThreadMeta& t = writer.meta().threads[slot];
-    t.node = static_cast<NodeId>(t.id % config.num_nodes());
-    t.accesses = writer.thread_records(slot);
-    t.think = think;
-  }
-  writer.meta().workload = "trace";
-  writer.finish();
-
-  auto reader = std::make_shared<trace::TraceReader>(tmp_path);
-  std::remove(tmp_path.c_str());  // Reader holds the fd; no file left behind.
-
-  WorkloadSpec spec = trace::make_replay_workload(reader, config);
-  std::sort(spec.threads.begin(), spec.threads.end(),
-            [](const ThreadSpec& a, const ThreadSpec& b) {
-              return a.id < b.id;
-            });
-  return spec;
-}
-
 /// Deletes its path at scope exit unless the file was already unlinked —
 /// a failed conversion must not strand temp .altr files in TMPDIR.
 /// Removing an already-removed path is a harmless ENOENT, so the success
@@ -80,61 +46,45 @@ struct TempFileGuard {
 
 }  // namespace
 
-std::vector<TraceRecord> parse_trace(std::istream& in) {
-  trace::TextTraceScanner scanner(in);
-  std::vector<TraceRecord> records;
-  trace::TextRecord scanned;
-  while (scanner.next(scanned)) {
-    TraceRecord r;
-    r.thread = scanned.thread;
-    r.access = scanned.access;
-    records.push_back(r);
-  }
-  return records;
-}
-
-void write_trace(std::ostream& out, const std::vector<TraceRecord>& records) {
-  for (const TraceRecord& r : records) {
-    trace::write_text_record(out, r.thread, r.access);
-  }
-}
-
-WorkloadSpec make_trace_workload(const std::vector<TraceRecord>& records,
-                                 const SystemConfig& config, Tick think) {
-  if (records.empty()) {
-    throw std::invalid_argument("make_trace_workload: empty trace");
-  }
-  const std::string tmp = temp_trace_path();
-  const TempFileGuard guard{tmp};
-  trace::TraceWriter writer(tmp, trace::kDefaultBlockPayloadBytes,
-                            /*durable=*/false);
-  std::map<ThreadId, std::uint32_t> slots;
-  for (const TraceRecord& r : records) {
-    auto [it, fresh] = slots.emplace(r.thread, 0);
-    if (fresh) {
-      trace::TraceThreadMeta meta;
-      meta.id = r.thread;
-      it->second = writer.add_thread(meta);
-    }
-    writer.record(it->second, r.access, /*rng_draws=*/0);
-  }
-  return finish_text_workload(std::move(writer), tmp, config, think);
-}
-
 WorkloadSpec load_trace_workload(const std::string& path,
-                                 const SystemConfig& config, Tick think) {
+                                 const SystemConfig& config) {
   const std::string tmp = temp_trace_path();
   const TempFileGuard guard{tmp};
   trace::TraceWriter writer(tmp, trace::kDefaultBlockPayloadBytes,
                             /*durable=*/false);
   // One sequential pass, so single-shot inputs (FIFOs, process
   // substitution) keep working; memory use is one text line plus one open
-  // block per thread, never the trace.  finish_text_workload re-sorts the
-  // appearance-ordered threads by id.
+  // block per thread, never the trace.
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   trace::convert_text_trace(in, writer);
-  return finish_text_workload(std::move(writer), tmp, config, think);
+  if (writer.meta().threads.empty()) {
+    throw std::invalid_argument("load_trace_workload: empty trace");
+  }
+  // The text format carries no placement or timing: each thread runs on
+  // core (id mod cores) with a 2 ns compute gap between accesses.
+  for (std::uint32_t slot = 0; slot < writer.meta().threads.size(); ++slot) {
+    trace::TraceThreadMeta& t = writer.meta().threads[slot];
+    t.node = static_cast<NodeId>(t.id % config.num_nodes());
+    t.accesses = writer.thread_records(slot);
+    t.think = ticks_from_ns(2.0);
+  }
+  writer.meta().workload = "trace";
+  writer.finish();
+
+  auto reader = std::make_shared<trace::TraceReader>(tmp);
+  std::remove(tmp.c_str());  // Reader holds the fd; no file left behind.
+
+  // Writer slots register in input-appearance order, but thread ORDER in
+  // the spec seeds the per-thread rng streams, so the threads are sorted
+  // by id: which thread happens to appear first in the input must not
+  // change any stream.
+  WorkloadSpec spec = trace::make_replay_workload(reader, config);
+  std::sort(spec.threads.begin(), spec.threads.end(),
+            [](const ThreadSpec& a, const ThreadSpec& b) {
+              return a.id < b.id;
+            });
+  return spec;
 }
 
 }  // namespace allarm::workload

@@ -5,53 +5,29 @@
 //
 //     <thread-id> <L|S|I> <hex-virtual-address>
 //
-// '#' starts a comment; blank lines are ignored.  Threads are placed on
-// core (thread-id mod cores).  A companion writer serializes accesses in
-// the same format so users can capture traces from the synthetic
-// generators or produce their own with external tools (e.g. a Pin or
-// DynamoRIO client).
+// '#' starts a comment; blank lines are ignored; any other line is an
+// error (trace::TextTraceScanner holds the grammar).  Threads are placed
+// on core (thread-id mod cores).  `trace cat` writes the same format, and
+// external tools (e.g. a Pin or DynamoRIO client) can produce it.
 //
 // Loading is streamed through the binary trace subsystem (src/trace/):
 // the text file converts line by line into a temporary .altr and replays
 // through TraceReplayGenerator, so memory use is one block per thread —
-// never the whole trace.  parse_trace/write_trace keep the in-memory
-// record API for small traces and tooling.  See docs/TRACES.md.
+// never the whole trace.  See docs/TRACES.md.
 #pragma once
 
-#include <istream>
-#include <map>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "workload/spec.hh"
 
 namespace allarm::workload {
 
-/// One parsed trace record.
-struct TraceRecord {
-  ThreadId thread = 0;
-  Access access;
-};
-
-/// Parses a trace stream; throws std::runtime_error with a line number on
-/// malformed input.
-std::vector<TraceRecord> parse_trace(std::istream& in);
-
-/// Serializes records in the canonical format (inverse of parse_trace).
-void write_trace(std::ostream& out, const std::vector<TraceRecord>& records);
-
-/// Builds a workload that replays `records`: one thread per distinct
-/// thread-id, each replaying its own subsequence in order, placed on core
-/// (thread-id mod cores).  `think` is the compute gap between accesses.
-WorkloadSpec make_trace_workload(const std::vector<TraceRecord>& records,
-                                 const SystemConfig& config,
-                                 Tick think = ticks_from_ns(2.0));
-
-/// Convenience: parse + build from a file path.
+/// Builds a workload that replays the text trace at `path`: one thread per
+/// distinct thread-id, each replaying its own lines in order with a 2 ns
+/// compute gap between accesses, placed on core (thread-id mod cores).
+/// Throws on an unreadable, malformed or empty trace.
 WorkloadSpec load_trace_workload(const std::string& path,
-                                 const SystemConfig& config,
-                                 Tick think = ticks_from_ns(2.0));
+                                 const SystemConfig& config);
 
 }  // namespace allarm::workload

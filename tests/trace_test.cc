@@ -1,13 +1,18 @@
-// Unit and integration tests for trace-file workloads: the legacy text
-// format (now streamed through the binary .altr subsystem) and
-// capture/replay round trips through core::System.
+// Unit and integration tests for trace-file workloads: the text format
+// (trace::TextTraceScanner's grammar, streamed through the binary .altr
+// subsystem by load_trace_workload) and capture/replay round trips
+// through core::System.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "trace/convert.hh"
 #include "trace/reader.hh"
 #include "workload/profiles.hh"
 #include "workload/trace.hh"
@@ -15,59 +20,120 @@
 namespace allarm::workload {
 namespace {
 
+std::vector<trace::TextRecord> scan(const std::string& text) {
+  std::istringstream in(text);
+  trace::TextTraceScanner scanner(in);
+  std::vector<trace::TextRecord> records;
+  trace::TextRecord record;
+  while (scanner.next(record)) records.push_back(record);
+  return records;
+}
+
+/// load_trace_workload over `text` written to a temp file.
+WorkloadSpec load_text(const std::string& text, const SystemConfig& config) {
+  const std::string path = testing::TempDir() + "/allarm_trace_text.txt";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  struct Cleanup {
+    std::string path;
+    ~Cleanup() { std::remove(path.c_str()); }
+  } cleanup{path};
+  return load_trace_workload(path, config);
+}
+
 TEST(TraceParse, ParsesWellFormedLines) {
-  std::istringstream in(
+  const auto records = scan(
       "# a comment\n"
       "0 L 40000000\n"
-      "1 S 40000040\n"
+      "1 S 0x40000040\n"
       "\n"
-      "0 I deadbeef  # trailing comment\n");
-  const auto records = parse_trace(in);
-  ASSERT_EQ(records.size(), 3u);
+      "0 I deadbeef  # trailing comment\n"
+      "4294967295\tL\t0XFFFFFFFFFFFFFFFF\r\n");
+  ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].thread, 0u);
   EXPECT_EQ(records[0].access.type, AccessType::kLoad);
   EXPECT_EQ(records[0].access.vaddr, 0x40000000u);
   EXPECT_EQ(records[1].access.type, AccessType::kStore);
+  EXPECT_EQ(records[1].access.vaddr, 0x40000040u);
   EXPECT_EQ(records[2].access.type, AccessType::kInstFetch);
   EXPECT_EQ(records[2].access.vaddr, 0xdeadbeefu);
+  EXPECT_EQ(records[3].thread, 4294967295u);
+  EXPECT_EQ(records[3].access.vaddr, ~std::uint64_t{0});
 }
 
 TEST(TraceParse, AcceptsLowercaseTypes) {
-  std::istringstream in("0 l 10\n0 s 20\n0 i 30\n");
-  EXPECT_EQ(parse_trace(in).size(), 3u);
+  EXPECT_EQ(scan("0 l 10\n0 s 20\n0 i 30\n").size(), 3u);
 }
 
-TEST(TraceParse, RejectsMalformedLines) {
-  std::istringstream bad_type("0 X 40000000\n");
-  EXPECT_THROW(parse_trace(bad_type), std::runtime_error);
-  std::istringstream missing("0 L\n");
-  EXPECT_THROW(parse_trace(missing), std::runtime_error);
-  std::istringstream bad_addr("0 L zzz\n");
-  EXPECT_THROW(parse_trace(bad_addr), std::runtime_error);
-}
+/// A malformed line after one good line: the scanner must throw and name
+/// line 2, never skip the line or read part of it.
+class TraceParseRejects : public testing::TestWithParam<const char*> {};
 
-TEST(TraceParse, RoundTripsThroughWriter) {
-  std::istringstream in("0 L 1000\n3 S 2fc0\n0 I 3000\n");
-  const auto records = parse_trace(in);
-  std::ostringstream out;
-  write_trace(out, records);
-  std::istringstream again(out.str());
-  const auto reparsed = parse_trace(again);
-  ASSERT_EQ(reparsed.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(reparsed[i].thread, records[i].thread);
-    EXPECT_EQ(reparsed[i].access.vaddr, records[i].access.vaddr);
-    EXPECT_EQ(reparsed[i].access.type, records[i].access.type);
+TEST_P(TraceParseRejects, MalformedLine) {
+  try {
+    scan(std::string("0 L 1000\n") + GetParam() + "\n");
+    FAIL() << "accepted '" << GetParam() << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace line 2"), std::string::npos)
+        << e.what();
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    BadLines, TraceParseRejects,
+    testing::Values("0 X 40000000",       // Unknown type.
+                    "0 L",                // Missing address.
+                    "0 L zzz",            // Address not hex.
+                    "T2 L 3000",          // Thread id not a number.
+                    "0 L 4000zz",         // Trailing garbage in address.
+                    "1 Lx 5000",          // Type longer than one letter.
+                    "1 L 5000 extra",     // Extra field.
+                    "1 Lx 5000 extra",    // Both of the above.
+                    "0 L -1",             // Signed address.
+                    "-1 L 1000",          // Signed thread id.
+                    "0 L 0x",             // Prefix without digits.
+                    "0 L 10000000000000000",  // Address over 64 bits.
+                    "4294967296 L 1000"));    // Thread id over 32 bits.
+
+TEST(TraceParse, RoundTripsThroughTraceCat) {
+  // write_text_trace is `trace cat`: its output must scan back to exactly
+  // the records the .altr holds.
+  const std::string path = testing::TempDir() + "/allarm_trace_cat.altr";
+  {
+    trace::TraceWriter writer(path);
+    for (const ThreadId id : {0u, 3u}) {
+      trace::TraceThreadMeta meta;
+      meta.id = id;
+      writer.add_thread(meta);
+    }
+    writer.record(0, {0x1000, AccessType::kLoad}, 0);
+    writer.record(1, {0x2fc0, AccessType::kStore}, 0);
+    writer.record(0, {0x3000, AccessType::kInstFetch}, 0);
+    writer.finish();
+  }
+  std::ostringstream text;
+  EXPECT_EQ(trace::write_text_trace(trace::TraceReader(path), text), 3u);
+  std::remove(path.c_str());
+  const auto records = scan(text.str());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].thread, 0u);
+  EXPECT_EQ(records[0].access.vaddr, 0x1000u);
+  EXPECT_EQ(records[1].thread, 0u);
+  EXPECT_EQ(records[1].access.type, AccessType::kInstFetch);
+  EXPECT_EQ(records[2].thread, 3u);
+  EXPECT_EQ(records[2].access.type, AccessType::kStore);
+  EXPECT_EQ(records[2].access.vaddr, 0x2fc0u);
+}
+
 TEST(TraceWorkload, BuildsOneThreadPerId) {
-  std::istringstream in(
+  SystemConfig config;
+  const auto spec = load_text(
       "0 L 40000000\n"
       "2 L 80000000\n"
-      "0 S 40000040\n");
-  SystemConfig config;
-  const auto spec = make_trace_workload(parse_trace(in), config);
+      "0 S 40000040\n",
+      config);
   ASSERT_EQ(spec.threads.size(), 2u);
   EXPECT_EQ(spec.threads[0].accesses, 2u);
   EXPECT_EQ(spec.threads[1].accesses, 1u);
@@ -76,13 +142,14 @@ TEST(TraceWorkload, BuildsOneThreadPerId) {
 
 TEST(TraceWorkload, RejectsEmptyTrace) {
   SystemConfig config;
-  EXPECT_THROW(make_trace_workload({}, config), std::invalid_argument);
+  EXPECT_THROW(load_text("", config), std::invalid_argument);
+  EXPECT_THROW(load_text("# only a comment\n\n", config),
+               std::invalid_argument);
 }
 
 TEST(TraceWorkload, WrapsThreadIdsOntoCores) {
-  std::istringstream in("20 L 1000\n");
   SystemConfig config;
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const auto spec = load_text("20 L 1000\n", config);
   EXPECT_EQ(spec.threads[0].node, 20 % 16);
 }
 
@@ -98,8 +165,7 @@ TEST(TraceWorkload, RunsEndToEndUnderBothModes) {
     }
   }
   SystemConfig config;
-  std::istringstream in(trace.str());
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const auto spec = load_text(trace.str(), config);
   for (auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm}) {
     const auto r = core::run_single(config, mode, spec, 3);
     EXPECT_GT(r.runtime, 0u);
@@ -108,39 +174,36 @@ TEST(TraceWorkload, RunsEndToEndUnderBothModes) {
   }
 }
 
-TEST(TraceWorkload, LoadStreamsWithoutMaterializingRecords) {
-  // load_trace_workload must behave exactly like parse + make (it shares
-  // the same conversion), while reading the file in streaming passes.
-  const std::string path = testing::TempDir() + "/allarm_trace_load.txt";
-  std::ostringstream text;
-  for (int t = 3; t >= 0; --t) {  // Ids out of order: order must not matter.
-    for (int i = 0; i < 40; ++i) {
-      text << t << " " << (i % 4 == 0 ? 'S' : 'L') << " " << std::hex
-           << (0x50000000ull * (t + 1) + i * 64) << std::dec << "\n";
+TEST(TraceWorkload, ThreadOrderDoesNotDependOnAppearance) {
+  // Thread order seeds the per-thread rng streams, so a trace listing its
+  // threads in another order must build the same workload and run.
+  const auto text = [](bool descending) {
+    std::ostringstream out;
+    for (int k = 0; k < 4; ++k) {
+      const int t = descending ? 3 - k : k;
+      for (int i = 0; i < 40; ++i) {
+        out << t << " " << (i % 4 == 0 ? 'S' : 'L') << " " << std::hex
+            << (0x50000000ull * (t + 1) + i * 64) << std::dec << "\n";
+      }
     }
-  }
-  {
-    std::ofstream out(path);
-    out << text.str();
-  }
+    return out.str();
+  };
   SystemConfig config;
-  const auto streamed = workload::load_trace_workload(path, config);
-  std::istringstream in(text.str());
-  const auto materialized =
-      workload::make_trace_workload(workload::parse_trace(in), config);
-
-  ASSERT_EQ(streamed.threads.size(), materialized.threads.size());
-  for (std::size_t i = 0; i < streamed.threads.size(); ++i) {
-    EXPECT_EQ(streamed.threads[i].id, materialized.threads[i].id);
-    EXPECT_EQ(streamed.threads[i].node, materialized.threads[i].node);
-    EXPECT_EQ(streamed.threads[i].accesses, materialized.threads[i].accesses);
+  const auto a = load_text(text(true), config);
+  const auto b = load_text(text(false), config);
+  ASSERT_EQ(a.threads.size(), 4u);
+  ASSERT_EQ(b.threads.size(), 4u);
+  for (std::size_t i = 0; i < a.threads.size(); ++i) {
+    EXPECT_EQ(a.threads[i].id, i);
+    EXPECT_EQ(b.threads[i].id, i);
+    EXPECT_EQ(a.threads[i].node, b.threads[i].node);
+    EXPECT_EQ(a.threads[i].accesses, 40u);
+    EXPECT_EQ(b.threads[i].accesses, 40u);
   }
-  const auto a = core::run_single(config, DirectoryMode::kBaseline, streamed, 5);
-  const auto b =
-      core::run_single(config, DirectoryMode::kBaseline, materialized, 5);
-  EXPECT_EQ(a.runtime, b.runtime);
-  EXPECT_EQ(a.stats.values(), b.stats.values());
-  std::remove(path.c_str());
+  const auto ra = core::run_single(config, DirectoryMode::kBaseline, a, 5);
+  const auto rb = core::run_single(config, DirectoryMode::kBaseline, b, 5);
+  EXPECT_EQ(ra.runtime, rb.runtime);
+  EXPECT_EQ(ra.stats.values(), rb.stats.values());
 }
 
 // ------------------------------------------------------- capture / replay ----
@@ -254,8 +317,7 @@ TEST(TraceWorkload, AllarmStillSkipsLocalAllocations) {
           << "\n";
   }
   SystemConfig config;
-  std::istringstream in(trace.str());
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const auto spec = load_text(trace.str(), config);
   const auto r = core::run_single(config, DirectoryMode::kAllarm, spec, 3);
   EXPECT_EQ(r.stats.get("pf.inserts"), 0.0);
   EXPECT_EQ(r.stats.get("dir.local_no_alloc"), 100.0);
