@@ -42,7 +42,9 @@
 
 namespace {
 
+using allarm::cli::kMaxU32;
 using allarm::cli::parse_u64;
+using allarm::cli::parse_u64_max;
 
 // Signal handlers may only touch lock-free atomics; the service loop polls
 // this between (never inside) I/O steps.
@@ -80,16 +82,16 @@ int main(int argc, char** argv) {
       if (std::strcmp(arg, "--root") == 0) {
         config.root = value(i);
       } else if (std::strcmp(arg, "--workers") == 0) {
-        config.workers = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.workers = parse_u64_max(arg, value(i), kMaxU32);
       } else if (std::strcmp(arg, "--max-active") == 0) {
-        config.max_active = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.max_active = parse_u64_max(arg, value(i), kMaxU32);
         if (config.max_active == 0) {
           throw std::invalid_argument("--max-active must be at least 1");
         }
       } else if (std::strcmp(arg, "--max-cells") == 0) {
         config.max_cells = parse_u64(arg, value(i));
       } else if (std::strcmp(arg, "--poll-ms") == 0) {
-        config.poll_ms = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.poll_ms = parse_u64_max(arg, value(i), kMaxU32);
         if (config.poll_ms == 0) config.poll_ms = 1;
       } else if (std::strcmp(arg, "--drain-ms") == 0) {
         config.drain_deadline_ms = parse_u64(arg, value(i));

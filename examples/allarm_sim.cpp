@@ -67,9 +67,6 @@ struct Options {
   std::exit(code);
 }
 
-// Largest value of the 32-bit option fields; --pf-kb is scaled by 1024.
-constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
-
 Options parse(int argc, char** argv) {
   Options o;
   auto value = [&](int& i) -> const char* {
@@ -83,14 +80,15 @@ Options parse(int argc, char** argv) {
     else if (a == "--mode") o.mode = value(i);
     else if (a == "--accesses") o.accesses = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--pf-kb")
-      o.pf_kb = cli::parse_u64_max(a.c_str(), value(i), kMaxU32 / 1024);
+      o.pf_kb =
+          cli::parse_u64_max(a.c_str(), value(i), cli::kMaxU32 / 1024);
     else if (a == "--pf-ways")
-      o.pf_ways = cli::parse_u64_max(a.c_str(), value(i), kMaxU32);
+      o.pf_ways = cli::parse_u64_max(a.c_str(), value(i), cli::kMaxU32);
     else if (a == "--policy") o.policy = value(i);
     else if (a == "--eviction-buffer") o.eviction_buffer = true;
     else if (a == "--serial-probe") o.serial_probe = true;
     else if (a == "--migrate-us")
-      o.migrate_us = cli::parse_u64_max(a.c_str(), value(i), kMaxU32);
+      o.migrate_us = cli::parse_u64_max(a.c_str(), value(i), cli::kMaxU32);
     else if (a == "--seed") o.seed = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--full-stats") o.full_stats = true;
     else if (a == "--profile") o.profile = true;

@@ -27,6 +27,9 @@ inline std::uint64_t parse_u64(const char* flag, const std::string& text) {
   std::exit(2);
 }
 
+/// Largest value of a 32-bit flag destination (the `max` of parse_u64_max).
+inline constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
+
 /// parse_u64() for a flag whose destination holds at most `max`: a larger
 /// value exits 2 the same way instead of being truncated.
 inline std::uint64_t parse_u64_max(const char* flag, const std::string& text,

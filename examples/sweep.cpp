@@ -12,15 +12,10 @@
 //   --out FILE           stream the JSON report here (default: stdout)
 //   --csv FILE           also stream a long-format CSV report
 //   --journal FILE       journal every finished job to FILE (+ FILE.data)
-//                        so the sweep survives interruption
-//   --resume             resume from --journal: already-journaled jobs are
-//                        not re-run, their results replay from disk
-//   --resume-cells       per-cell incremental resume: like --resume, but a
-//                        journal from an EDITED spec is rebound instead of
-//                        refused — only cells whose config/seed identity
-//                        changed re-run; unchanged cells replay from disk.
-//                        Creates the journal when missing (one flag serves
-//                        first run and re-run).  Unsharded sweeps only
+//                        so the sweep survives interruption.  An existing
+//                        FILE resumes: a job whose journaled cell and seed
+//                        are unchanged replays from disk, every other job
+//                        (edited cell, new seed, failure) re-runs
 //   --shard K/N          run only shard K of N (1-based; cells partition
 //                        round-robin).  Requires --journal so the shards
 //                        can be merged later
@@ -81,8 +76,8 @@
 // Reports are streamed cell by cell — a finished cell is serialized and
 // dropped, so report size never bounds grid size.  They contain no
 // execution metadata: the same grid, seeds and accesses produce
-// byte-identical output at any --jobs setting, across kill/--resume
-// cycles, and across --shard/--merge splits.  See docs/SWEEPS.md.
+// byte-identical output at any --jobs setting, across kill/resume cycles,
+// and across --shard/--merge splits.  See docs/SWEEPS.md.
 //
 // Exit codes: 0 success, 1 error, 2 usage, 3 degraded completion (the
 // sweep finished but quarantined at least one job; see docs/ROBUSTNESS.md).
@@ -121,8 +116,6 @@ struct Options {
   std::string out;
   std::string csv;
   std::string journal;
-  bool resume = false;
-  bool resume_cells = false;
   std::string cost_from;
   runner::ShardSpec shard;
   std::vector<std::string> merge;
@@ -149,7 +142,7 @@ struct Options {
   std::cout <<
       "usage: sweep --grid " << grids << " [--jobs N]\n"
       "             [--seeds K] [--accesses N] [--seed N] [--out FILE]\n"
-      "             [--csv FILE] [--journal FILE [--resume|--resume-cells]]\n"
+      "             [--csv FILE] [--journal FILE]\n"
       "             [--shard K/N [--cost-from FILE]]\n"
       "             [--merge FILE]... [--window N] [--timing]\n"
       "             [--profile] [--timeline FILE]\n"
@@ -203,10 +196,10 @@ runner::ShardSpec parse_shard(const std::string& text) {
     usage(2);
   }
   runner::ShardSpec shard;
-  shard.index = static_cast<std::uint32_t>(
-      cli::parse_u64("--shard", text.substr(0, slash)));
-  shard.count = static_cast<std::uint32_t>(
-      cli::parse_u64("--shard", text.substr(slash + 1)));
+  shard.index =
+      cli::parse_u64_max("--shard", text.substr(0, slash), cli::kMaxU32);
+  shard.count =
+      cli::parse_u64_max("--shard", text.substr(slash + 1), cli::kMaxU32);
   try {
     shard.validate();
   } catch (const std::exception& e) {
@@ -227,9 +220,9 @@ Options parse(int argc, char** argv) {
     if (std::strcmp(arg, "--grid") == 0) {
       options.grid = value(i);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
+      options.jobs = cli::parse_u64_max(arg, value(i), cli::kMaxU32);
     } else if (std::strcmp(arg, "--seeds") == 0) {
-      options.seeds = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
+      options.seeds = cli::parse_u64_max(arg, value(i), cli::kMaxU32);
     } else if (std::strcmp(arg, "--accesses") == 0) {
       options.accesses = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--seed") == 0) {
@@ -240,10 +233,6 @@ Options parse(int argc, char** argv) {
       options.csv = value(i);
     } else if (std::strcmp(arg, "--journal") == 0) {
       options.journal = value(i);
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      options.resume = true;
-    } else if (std::strcmp(arg, "--resume-cells") == 0) {
-      options.resume_cells = true;
     } else if (std::strcmp(arg, "--cost-from") == 0) {
       options.cost_from = value(i);
     } else if (std::strcmp(arg, "--shard") == 0) {
@@ -270,8 +259,8 @@ Options parse(int argc, char** argv) {
       while (pos <= list.size()) {
         const std::size_t comma = list.find(',', pos);
         const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        const auto cores = static_cast<std::uint32_t>(
-            cli::parse_u64(arg, list.substr(pos, end - pos)));
+        const std::uint32_t cores = cli::parse_u64_max(
+            arg, list.substr(pos, end - pos), cli::kMaxU32);
         if (cores == 0) {
           std::cerr << "--cores wants a comma-separated list of positive "
                        "counts, got '" << list << "'\n";
@@ -283,10 +272,10 @@ Options parse(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--cell-retries") == 0) {
       options.cell_retries =
-          static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
+          cli::parse_u64_max(arg, value(i), cli::kMaxU32);
     } else if (std::strcmp(arg, "--cell-backoff-ms") == 0) {
       options.cell_backoff_ms =
-          static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
+          cli::parse_u64_max(arg, value(i), cli::kMaxU32);
     } else if (std::strcmp(arg, "--cell-timeout") == 0) {
       options.cell_timeout_ns = cli::parse_seconds_ns(arg, value(i));
     } else if (std::strcmp(arg, "--quarantine") == 0) {
@@ -311,20 +300,6 @@ Options parse(int argc, char** argv) {
     std::cerr << "--seeds must be positive\n";
     usage(2);
   }
-  if ((options.resume || options.resume_cells) && options.journal.empty()) {
-    std::cerr << "--resume/--resume-cells require --journal\n";
-    usage(2);
-  }
-  if (options.resume && options.resume_cells) {
-    std::cerr << "--resume and --resume-cells are different recovery modes; "
-                 "pick one\n";
-    usage(2);
-  }
-  if (options.resume_cells && options.shard.count > 1) {
-    std::cerr << "--resume-cells applies to unsharded sweeps (stale records "
-                 "would strand in other shards' journals)\n";
-    usage(2);
-  }
   if (!options.cost_from.empty() && options.shard.count <= 1) {
     std::cerr << "--cost-from plans a --shard partition; it needs --shard "
                  "K/N with N > 1\n";
@@ -336,21 +311,22 @@ Options parse(int argc, char** argv) {
     usage(2);
   }
   if (!options.merge.empty() &&
-      (options.resume || !options.journal.empty() || options.shard.count > 1)) {
+      (!options.journal.empty() || options.shard.count > 1)) {
     std::cerr << "--merge folds existing journals; it cannot be combined "
-                 "with --journal/--resume/--shard\n";
+                 "with --journal/--shard\n";
     usage(2);
   }
   if (!options.capture_dir.empty() && !options.replay_dir.empty()) {
     std::cerr << "--capture and --replay are mutually exclusive\n";
     usage(2);
   }
-  if (!options.capture_dir.empty() &&
-      (options.resume || options.resume_cells)) {
+  struct stat journal_stat{};
+  if (!options.capture_dir.empty() && !options.journal.empty() &&
+      ::stat(options.journal.c_str(), &journal_stat) == 0) {
     // Jobs replayed from the journal never execute, so their traces would
     // silently be missing (or torn) from the capture directory.
-    std::cerr << "--capture needs a full fresh run; it cannot be combined "
-                 "with --resume/--resume-cells\n";
+    std::cerr << "--capture needs a full fresh run; journal "
+              << options.journal << " exists and would resume\n";
     usage(2);
   }
   if ((!options.capture_dir.empty() || !options.replay_dir.empty()) &&
@@ -424,9 +400,6 @@ int main(int argc, char** argv) try {
   const runner::SweepRunner sweep_runner(options.jobs);
   runner::StreamOptions stream;
   stream.journal_path = options.journal;
-  stream.resume = options.resume_cells ? runner::ResumeMode::kPerCell
-                  : options.resume     ? runner::ResumeMode::kStrict
-                                       : runner::ResumeMode::kNone;
   stream.shard = options.shard;
   if (!options.cost_from.empty()) {
     // Cost-aware partition: plan_shards is deterministic, so every shard
@@ -472,8 +445,7 @@ int main(int argc, char** argv) try {
     std::cerr << ", " << stats.jobs_retried << " retries";
   }
   std::cerr << ", " << stats.cells_emitted << " cells, peak "
-            << stats.peak_resident_results << " resident results ("
-            << stats.tasks_stolen << " tasks stolen)";
+            << stats.peak_resident_results << " resident results";
   if (stats.jobs_failed > 0) {
     std::cerr << "\nDEGRADED: " << stats.jobs_failed
               << " jobs quarantined as failed across " << stats.cells_failed

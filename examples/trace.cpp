@@ -116,7 +116,7 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--accesses") == 0) {
       o.accesses = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--cores") == 0) {
-      o.cores = static_cast<std::uint32_t>(cli::parse_u64(arg, value(i)));
+      o.cores = cli::parse_u64_max(arg, value(i), cli::kMaxU32);
     } else if (std::strcmp(arg, "--limit") == 0) {
       o.limit = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--json") == 0) {

@@ -9,14 +9,15 @@
 #                      an open or header write failing while the journal is
 #                      created) the sweep either absorbs the fault
 #                      byte-identically or fails loudly; after a loud
-#                      failure, a clean --resume must reproduce the
-#                      reference bytes;
+#                      failure, a clean rerun on the same journal must
+#                      resume it and reproduce the reference bytes;
 #  3. retry          - a transient per-attempt fault plus --cell-retries
 #                      heals in place: exit 0 and byte-identical output;
 #  4. quarantine     - a permanent per-job fault plus --quarantine finishes
 #                      the sweep with exit 3 and a structured "failed"
-#                      report section; a clean --resume recovers the
-#                      reference bytes and exit 0;
+#                      report section; a clean rerun on its journal
+#                      re-runs the failed job and recovers the reference
+#                      bytes and exit 0;
 #  5. watchdog       - an absurdly small --cell-timeout quarantines every
 #                      job with a no-progress diagnostic; a generous one
 #                      changes nothing, not one byte.
@@ -62,7 +63,7 @@ for FAULT in "${FAULTS[@]}"; do
             cat "$WORK/fault.log"
             exit 1
         }
-        "$SWEEP" "${ARGS[@]}" --journal "$JOURNAL" --resume --out "$OUT" \
+        "$SWEEP" "${ARGS[@]}" --journal "$JOURNAL" --out "$OUT" \
             2> "$WORK/resume.log"
         grep -q "resumed from journal" "$WORK/resume.log" || true
         cmp "$WORK/full.json" "$OUT"
@@ -89,7 +90,7 @@ RC=0
 }
 grep -q '"failed"' "$WORK/q.json"
 grep -q "DEGRADED" "$WORK/q.log"
-"$SWEEP" "${ARGS[@]}" --journal "$WORK/q.journal" --resume \
+"$SWEEP" "${ARGS[@]}" --journal "$WORK/q.journal" \
     --out "$WORK/q-resumed.json"
 cmp "$WORK/full.json" "$WORK/q-resumed.json"
 echo "OK: quarantine exit 3 with structured failed section; resume is clean"

@@ -13,8 +13,9 @@
 #                      probe-filter geometry that does not fit and a
 #                      malformed --trace file, sweep rejects a malformed
 #                      --cell-timeout, and sweep/allarm_sim/allarm_serve
-#                      reject malformed integer values, with exit 2 and no
-#                      report instead of running something else;
+#                      reject malformed integer values and 32-bit flag
+#                      values past 2^32 - 1, with exit 2 and no report
+#                      instead of running something else;
 #  5. profile        - --profile adds a hist section with p50/p95/p99 for
 #                      every latency metric, in both the CLI report and a
 #                      service report requesting "profile": true;
@@ -111,6 +112,13 @@ for bad in -5 abc; do
         --accesses "$bad" --out "$WORK/bad.json"
 done
 expect_exit2 "$WORK/bad-spool" "$SERVE" --root "$WORK/bad-spool" --workers -1
+# A 32-bit flag refuses a value it would truncate: 2^32 + 1 used to run as 1.
+expect_exit2 "$WORK/bad.json" "$SWEEP" --grid quick --seeds 1 --accesses 20 \
+    --jobs 4294967297 --out "$WORK/bad.json"
+expect_exit2 "$WORK/bad.json" "$SWEEP" --grid quick --seeds 1 --accesses 20 \
+    --shard 4294967297/2 --journal "$WORK/bad.journal" --out "$WORK/bad.json"
+expect_exit2 "$WORK/bad-spool" "$SERVE" --root "$WORK/bad-spool" \
+    --workers 4294967297 --exit-when-idle
 # Seconds must be a plain positive decimal: a unit suffix, nan, inf and a
 # nanosecond count past 64 bits are refused, not truncated or converted.
 for bad in 5s nan inf 1e300; do

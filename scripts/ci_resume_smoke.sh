@@ -1,19 +1,26 @@
 #!/usr/bin/env bash
-# CI smoke for the streaming sweep chassis (also runs fine locally):
+# CI smoke for the streaming sweep chassis (also runs fine locally).  A
+# journaled sweep resumes whenever its --journal FILE exists; there is no
+# resume flag:
 #
 #  1. determinism   - the quick grid at --jobs 2 vs --jobs 1 is byte-identical;
 #  2. kill/resume   - a journaled sweep is SIGKILLed once ~40% of its jobs
-#                     have been journaled, then rerun with --resume; the
-#                     resumed report must be byte-identical to an
+#                     have been journaled, then rerun on the same journal;
+#                     the resumed report must be byte-identical to an
 #                     uninterrupted run (and must actually have resumed
 #                     jobs from the journal, not recomputed everything);
-#  3. shard/merge   - --shard 1/2 and --shard 2/2 partial runs, folded with
+#  3. rerun         - an identical rerun on the finished journal runs no job
+#                     and resumes every one, --capture on it exits 2, and a
+#                     --seed 43 rerun on the seed-42 journal matches a
+#                     fresh --seed 43 run;
+#  4. shard/merge   - --shard 1/2 and --shard 2/2 partial runs, folded with
 #                     --merge, must reproduce the single-machine bytes for
 #                     both the JSON and the CSV report;
-#  4. resume-cells  - --resume-cells on a missing journal runs everything,
-#                     an identical rerun runs nothing and resumes every job,
-#                     and a --seed 43 rerun matches a fresh --seed 43 run;
-#  5. cost-from     - a --timing journal plans --shard 1/2 and 2/2 with
+#  5. shard rerun   - both shards re-run with --seed 43 on their seed-42
+#                     journals merge to the fresh --seed 43 JSON and CSV,
+#                     and merging a re-run shard with a stale one fails and
+#                     names the stale journal;
+#  6. cost-from     - a --timing journal plans --shard 1/2 and 2/2 with
 #                     --cost-from; their merge reproduces the single-machine
 #                     JSON and CSV.
 #
@@ -29,7 +36,7 @@ ARGS=(--grid quick --seeds 2 --accesses 2000 --seed 42)
 HEADER=64
 RECORD=40
 
-echo "== 1/5 determinism: --jobs 2 vs --jobs 1 =="
+echo "== 1/6 determinism: --jobs 2 vs --jobs 1 =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --out "$WORK/full.json" --csv "$WORK/full.csv" \
     2> "$WORK/full.log"
 cat "$WORK/full.log" >&2
@@ -45,7 +52,7 @@ if [ -z "$TOTAL_JOBS" ] || [ "$TOTAL_JOBS" -lt 2 ]; then
     exit 1
 fi
 
-echo "== 2/5 kill -9 at ~40% of journaled jobs, then --resume =="
+echo "== 2/6 kill -9 at ~40% of journaled jobs, then rerun on the journal =="
 TARGET=$(( (TOTAL_JOBS * 40 + 99) / 100 ))   # ceil(40%)
 "$SWEEP" "${ARGS[@]}" --jobs 1 --journal "$WORK/run.journal" \
          --out "$WORK/interrupted.json" &
@@ -71,7 +78,7 @@ else
     echo "WARNING: sweep finished before the kill window; resume still checked"
 fi
 
-"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" --resume \
+"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" \
          --out "$WORK/resumed.json" 2> "$WORK/resume.log"
 cat "$WORK/resume.log"
 cmp "$WORK/full.json" "$WORK/resumed.json"
@@ -90,7 +97,33 @@ if [ "$KILLED" -eq 1 ] && [ "$RESUMED" -lt $((TARGET - 1)) ]; then
 fi
 echo "OK: resumed report is byte-identical to an uninterrupted run"
 
-echo "== 3/5 2-shard run + --merge vs single-machine bytes =="
+echo "== 3/6 rerun: an identical one resumes everything, a new seed re-runs =="
+"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" \
+         --out "$WORK/again.json" 2> "$WORK/again.log"
+cat "$WORK/again.log"
+cmp "$WORK/full.json" "$WORK/again.json"
+grep -q ": 0 jobs run, $TOTAL_JOBS resumed from journal" "$WORK/again.log" || {
+    echo "FAIL: an identical rerun must resume all $TOTAL_JOBS jobs and run none"
+    exit 1
+}
+# Resumed jobs never execute, so --capture on an existing journal is a
+# usage error rather than a capture directory with missing traces.
+RC=0
+"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" \
+         --capture "$WORK/traces" --out "$WORK/capture.json" 2> /dev/null \
+    || RC=$?
+if [ "$RC" -ne 2 ] || [ -e "$WORK/capture.json" ]; then
+    echo "FAIL: --capture on an existing journal exited $RC, want 2"
+    exit 1
+fi
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --out "$WORK/seed43.json" \
+         --csv "$WORK/seed43.csv"
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --journal "$WORK/run.journal" \
+         --out "$WORK/run-43.json"
+cmp "$WORK/seed43.json" "$WORK/run-43.json"
+echo "OK: an identical rerun resumes everything; a new seed re-runs the grid"
+
+echo "== 4/6 2-shard run + --merge vs single-machine bytes =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 1/2 --journal "$WORK/s1.journal" \
          --out "$WORK/s1.json"
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 2/2 --journal "$WORK/s2.journal" \
@@ -104,26 +137,29 @@ cmp "$WORK/full.csv" "$WORK/merged.csv"
 [ "$(stat -c %s "$WORK/s2.json")" -lt "$(stat -c %s "$WORK/full.json")" ]
 echo "OK: shard+merge reproduces the single-machine bytes (json + csv)"
 
-echo "== 4/5 --resume-cells: create, resume everything, re-run a new seed =="
-"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/cells.journal" --resume-cells \
-         --out "$WORK/cells.json"
-cmp "$WORK/full.json" "$WORK/cells.json"
-"$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/cells.journal" --resume-cells \
-         --out "$WORK/cells-again.json" 2> "$WORK/cells.log"
-cat "$WORK/cells.log"
-cmp "$WORK/full.json" "$WORK/cells-again.json"
-grep -q ": 0 jobs run, $TOTAL_JOBS resumed from journal" "$WORK/cells.log" || {
-    echo "FAIL: an identical --resume-cells rerun must resume all" \
-         "$TOTAL_JOBS jobs and run none"
+echo "== 5/6 shards re-run a new seed on their journals; a stale shard is refused =="
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --shard 1/2 \
+         --journal "$WORK/s1.journal" --out "$WORK/s1-43.json"
+# Shard 2 still holds the seed-42 sweep: the merge must refuse it by name.
+RC=0
+"$SWEEP" "${ARGS[@]}" --seed 43 --merge "$WORK/s1.journal" \
+         --merge "$WORK/s2.journal" --out "$WORK/stale.json" \
+         2> "$WORK/stale.log" || RC=$?
+if [ "$RC" -eq 0 ] || ! grep -q "s2.journal" "$WORK/stale.log"; then
+    echo "FAIL: merging a stale shard exited $RC without naming s2.journal:"
+    cat "$WORK/stale.log"
     exit 1
-}
-"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --out "$WORK/seed43.json"
-"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --journal "$WORK/cells.journal" \
-         --resume-cells --out "$WORK/cells-43.json"
-cmp "$WORK/seed43.json" "$WORK/cells-43.json"
-echo "OK: --resume-cells creates, resumes everything, and re-runs a new seed"
+fi
+"$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --shard 2/2 \
+         --journal "$WORK/s2.journal" --out "$WORK/s2-43.json"
+"$SWEEP" "${ARGS[@]}" --seed 43 --merge "$WORK/s1.journal" \
+         --merge "$WORK/s2.journal" \
+         --out "$WORK/merged-43.json" --csv "$WORK/merged-43.csv"
+cmp "$WORK/seed43.json" "$WORK/merged-43.json"
+cmp "$WORK/seed43.csv" "$WORK/merged-43.csv"
+echo "OK: re-run shards merge to the fresh seed-43 bytes; a stale one is named"
 
-echo "== 5/5 --cost-from plans the shards; the merge is unchanged =="
+echo "== 6/6 --cost-from plans the shards; the merge is unchanged =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --timing --journal "$WORK/timing.journal" \
          --out "$WORK/timing.json"
 for K in 1 2; do

@@ -14,8 +14,8 @@
 #  4. trace CLI             - record -> info -> cat -> replay round trip;
 #                             the replay result block must equal the
 #                             record result block byte for byte, and a
-#                             malformed `cat --limit` exits 2 with no
-#                             output;
+#                             malformed `cat --limit` or an out-of-range
+#                             `replay --cores` exits 2 with no output;
 #  5. ablation replay       - `sweep --grid ablation` captured and replayed
 #                             reproduces its report byte for byte,
 #                             thread-migration cells included.
@@ -85,6 +85,15 @@ fi
 # result block must match the capture run's exactly.
 "$TRACE" replay "$WORK/cli.altr" > "$WORK/replay.txt"
 cmp "$WORK/record.txt" "$WORK/replay.txt"
+# A core count the 32-bit field would truncate (2^32 + 1 used to replay on
+# 1 core) is a usage error.
+RC=0
+"$TRACE" replay "$WORK/cli.altr" --cores 4294967297 \
+    > "$WORK/replay-bad.txt" 2> /dev/null || RC=$?
+if [ "$RC" -ne 2 ] || [ -s "$WORK/replay-bad.txt" ]; then
+    echo "FAIL: trace replay --cores 4294967297 exited $RC, want 2 and no output"
+    exit 1
+fi
 echo "OK: CLI replay result block matches the capture run"
 
 echo "== 5/5 ablation grid replays byte for byte, migration included =="

@@ -25,11 +25,6 @@ std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
   NodePool& p = pools_.at(node);
   if (p.live >= p.capacity) return std::nullopt;
   ++p.live;
-  if (!p.recycled.empty()) {
-    const PageNum f = p.recycled.back();
-    p.recycled.pop_back();
-    return f;
-  }
   // Frames are handed out in a scrambled (but deterministic, bijective)
   // order within the node, modelling the fragmented free lists of a
   // long-running OS.  Contiguous virtual regions therefore map onto
@@ -55,13 +50,6 @@ std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
     scrambled = x & mask;
   }
   return static_cast<PageNum>(node) * frames_per_node_ + scrambled;
-}
-
-void FrameAllocator::release(PageNum frame) {
-  NodePool& p = pools_.at(node_of_frame(frame));
-  if (p.live == 0) throw std::logic_error("FrameAllocator: double release");
-  --p.live;
-  p.recycled.push_back(frame);
 }
 
 std::uint64_t FrameAllocator::free_frames(NodeId node) const {
@@ -142,17 +130,6 @@ std::optional<Addr> Os::translate(AddressSpaceId asid, Addr vaddr) const {
   const PageNum* frame = page_table_.find(PageKey{asid, page_of(vaddr)});
   if (frame == nullptr) return std::nullopt;
   return addr_of_page(*frame) | (vaddr & (kPageBytes - 1));
-}
-
-bool Os::mark_next_touch(AddressSpaceId asid, Addr vaddr) {
-  if (vaddr >= kKernelSpaceBase) asid = kKernelAsid;
-  const PageKey key{asid, page_of(vaddr)};
-  const PageNum* frame = page_table_.find(key);
-  if (frame == nullptr) return false;
-  frames_.release(*frame);
-  page_table_.erase(key);
-  ++stats_.next_touch_migrations;
-  return true;
 }
 
 void Os::place_thread(ThreadId thread, NodeId node) {

@@ -4,8 +4,8 @@
 // The ALLARM detection scheme relies only on the OS contract that a
 // first-touch allocation homes a page at the toucher's node whenever that
 // node has free frames, spilling to the nearest node otherwise.  This
-// module implements that contract (plus next-touch re-homing and an
-// interleaved policy used as an ablation baseline).
+// module implements that contract (plus an interleaved policy used as an
+// ablation baseline).
 #pragma once
 
 #include <cstdint>
@@ -36,10 +36,8 @@ class FrameAllocator {
   void set_node_capacity(std::uint64_t frames);
 
   /// Allocates one frame on `node`; returns std::nullopt when full.
+  /// Frames are never freed: a run maps each page once.
   std::optional<PageNum> allocate_on(NodeId node);
-
-  /// Returns the frame to its owning node's free pool.
-  void release(PageNum frame);
 
   std::uint64_t free_frames(NodeId node) const;
   std::uint64_t frames_per_node() const { return frames_per_node_; }
@@ -54,7 +52,6 @@ class FrameAllocator {
     std::uint64_t next_fresh = 0;      ///< Bump pointer within the node range.
     std::uint64_t capacity = 0;        ///< Usable frames.
     std::uint64_t live = 0;            ///< Currently allocated frames.
-    std::vector<PageNum> recycled;     ///< Freed frames available for reuse.
   };
 
   std::uint64_t frames_per_node_;
@@ -66,7 +63,6 @@ struct OsStats {
   std::uint64_t pages_mapped = 0;
   std::uint64_t local_allocations = 0;   ///< Homed at the toucher's node.
   std::uint64_t spilled_allocations = 0; ///< Homed elsewhere (best-effort miss).
-  std::uint64_t next_touch_migrations = 0;
   std::uint64_t migrations = 0;          ///< Thread migrations performed.
 };
 
@@ -100,11 +96,6 @@ class Os {
 
   /// Translates without allocating; std::nullopt when unmapped.
   std::optional<Addr> translate(AddressSpaceId asid, Addr vaddr) const;
-
-  /// Marks a page for next-touch migration: the current mapping is released
-  /// and the next toucher re-homes the page at its own node.
-  /// Returns false when the page was never mapped.
-  bool mark_next_touch(AddressSpaceId asid, Addr vaddr);
 
   /// Home node of a physical address (which node's DRAM holds it).
   /// Called per coherence request: uses a shift when the per-node DRAM

@@ -361,20 +361,15 @@ Journal Journal::create(const std::string& path, const JournalMeta& meta) {
 }
 
 Journal Journal::open_append(const std::string& path,
-                             const JournalMeta& expected, bool rebind) {
+                             const JournalMeta& expected) {
   Journal j;
   j.journal_ = File(path, File::Mode::kReadWrite);
   j.data_ = File(journal_data_path(path), File::Mode::kReadWrite);
   j.index_ = scan(j.journal_, j.data_);
 
   // Shape and shard are structural — a journal whose job indices mean a
-  // different grid cannot be reinterpreted, only replaced.  The identity
-  // (spec hash, base seed) is refused on a strict open, rebound otherwise.
+  // different grid cannot be reinterpreted, only replaced.
   const JournalMeta& meta = j.index_.meta;
-  if (!rebind) {
-    require_field(path, "spec hash", meta.spec_hash, expected.spec_hash);
-    require_field(path, "base seed", meta.base_seed, expected.base_seed);
-  }
   require_field(path, "job count", meta.job_count, expected.job_count);
   require_field(path, "shard index", meta.shard_index, expected.shard_index);
   require_field(path, "shard count", meta.shard_count, expected.shard_count);
@@ -390,7 +385,7 @@ Journal Journal::open_append(const std::string& path,
   // Rebind the header to the new identity, durably, before any append:
   // from here on the journal IS the new sweep's journal (a crash between
   // the rewrite and the first append leaves a valid rebound journal whose
-  // stale records the next incremental open filters again).
+  // stale records the next open filters again).
   if (meta.spec_hash != expected.spec_hash ||
       meta.base_seed != expected.base_seed) {
     const RawHeader header = header_for(expected);
@@ -409,10 +404,6 @@ Journal Journal::open_read(const std::string& path) {
   j.journal_end_ = j.index_.valid_journal_bytes;
   j.data_end_ = j.index_.valid_data_bytes;
   return j;
-}
-
-JournalIndex Journal::load_index(const std::string& path) {
-  return open_read(path).index_;
 }
 
 void Journal::append_record(std::uint64_t job_index, std::uint64_t seed,

@@ -6,7 +6,7 @@
 //                 finished job.  Every record carries a CRC32C of itself
 //                 and of its payload; the header stamps the sweep's spec
 //                 hash, full-grid job count, base seed and shard, so a
-//                 journal can never silently resume the wrong sweep.
+//                 journal can never silently merge into the wrong sweep.
 //   <path>.data   concatenated payload blobs: one serialized RunResult
 //                 (or, for quarantined jobs, FailureRecord) per record,
 //                 addressed by (offset, size) from the record.
@@ -34,8 +34,9 @@
 
 namespace allarm::runner {
 
-/// Identity stamped into a journal header.  Resume and merge refuse any
-/// journal whose meta does not match the spec in hand.
+/// Identity stamped into a journal header.  Merge refuses any journal whose
+/// meta does not match the spec in hand; resume (Journal::open_append)
+/// refuses another grid shape or shard and rebinds the rest.
 struct JournalMeta {
   std::uint64_t spec_hash = 0;
   std::uint64_t job_count = 0;  ///< Full-grid job count (all shards).
@@ -84,8 +85,8 @@ std::string journal_data_path(const std::string& path);
 /// Canonical binary serialization of one RunResult (the journal payload).
 /// `cell_hash` is the identity hash of the job's grid cell
 /// (runner::cell_hash in sweep.hh); it rides in the payload's extensible
-/// trailing section so per-cell incremental re-sweeps can tell which
-/// journaled cells a changed spec invalidates.  0 = not recorded (the
+/// trailing section so a resume can tell which journaled cells a changed
+/// spec invalidates.  0 = not recorded (the
 /// value journals written before the field existed deserialize to).
 std::string serialize_run_result(const core::RunResult& result,
                                  std::uint64_t cell_hash = 0);
@@ -119,34 +120,21 @@ class Journal {
   /// atomic: a crash leaves either no journal or a valid empty one.
   static Journal create(const std::string& path, const JournalMeta& meta);
 
-  /// Opens an existing journal for resume: validates the header against
-  /// `expected` (throws std::runtime_error on any mismatch — spec hash,
-  /// job count, base seed or shard), scans the records, truncates any torn
-  /// tail from both files, and positions for append.
-  static Journal open_resume(const std::string& path,
-                             const JournalMeta& expected) {
-    return open_append(path, expected, /*rebind=*/false);
-  }
-
-  /// Incremental-resume open: like open_resume, but a spec-hash or
-  /// base-seed mismatch REBINDS the journal instead of refusing — the
-  /// header is durably rewritten with `expected` so later strict opens and
-  /// merges see the new identity.  Grid shape and shard must still match
-  /// (a journal indexed by a different grid cannot be reinterpreted).
-  /// Callers decide per record what is still valid (per-cell hashes);
-  /// stale records are superseded by re-run appends, last-record-wins.
-  static Journal open_rebind(const std::string& path,
-                             const JournalMeta& expected) {
-    return open_append(path, expected, /*rebind=*/true);
-  }
+  /// Opens an existing journal to append to it (resume): scans the records,
+  /// truncates any torn tail from both files, and positions for append.
+  /// Throws std::runtime_error when the job count or shard differs from
+  /// `expected` (job indices of another grid cannot be reinterpreted).  A
+  /// different spec hash or base seed REBINDS the journal: the header is
+  /// durably rewritten with `expected` before any append, so later opens
+  /// and merges see the new identity.  Callers decide per record what is
+  /// still valid (cell hashes, seeds); re-run appends supersede stale
+  /// records, last-record-wins.
+  static Journal open_append(const std::string& path,
+                             const JournalMeta& expected);
 
   /// Opens read-only (merge path): header is validated for magic/version
   /// and CRC only; callers check meta themselves.
   static Journal open_read(const std::string& path);
-
-  /// Scans without opening for write.  Throws when the file is missing or
-  /// its header is invalid; a damaged record tail is reported, not fatal.
-  static JournalIndex load_index(const std::string& path);
 
   const JournalIndex& index() const { return index_; }
   const JournalMeta& meta() const { return index_.meta; }
@@ -192,9 +180,6 @@ class Journal {
   /// record (with `flags`) to the journal.
   void append_record(std::uint64_t job_index, std::uint64_t seed,
                      const std::string& payload, std::uint32_t flags);
-  /// Shared body of open_resume (rebind = false) and open_rebind.
-  static Journal open_append(const std::string& path,
-                             const JournalMeta& expected, bool rebind);
   std::string verified_payload(const JournalEntry& entry) const;
 
   File journal_;

@@ -2,7 +2,7 @@
 //
 // Both formats are canonical: fixed field order, map-sorted statistic
 // names, round-trip number formatting, and no execution metadata (worker
-// count, wall clock, steal counts).  Two sweeps of the same spec therefore
+// count, wall clock, resume counts).  Two sweeps of the same spec therefore
 // produce byte-identical reports regardless of --jobs — the property the
 // determinism tests pin down.
 //

@@ -178,22 +178,10 @@ class CellFolder {
   std::uint64_t cells_failed_ = 0;
 };
 
-void check_entry_seed(const std::string& path, const JournalEntry& entry,
-                      const std::vector<Job>& jobs) {
-  if (entry.seed != jobs[entry.job_index].request.seed) {
-    throw std::runtime_error(
-        "journal " + path + ": job " + std::to_string(entry.job_index) +
-        " was journaled with seed " + std::to_string(entry.seed) +
-        " but the spec derives " +
-        std::to_string(jobs[entry.job_index].request.seed) +
-        " — seed derivation mismatch, refusing to resume");
-  }
-}
-
 /// The one journal reader: for each of the first `job_count` jobs, its
 /// latest record whose payload verified, so a damaged record never hides an
-/// intact earlier one.  Resume, per-cell resume, merge and cost planning
-/// each apply only their own rule on top.
+/// intact earlier one.  Resume, merge and cost planning each apply only
+/// their own rule on top.
 std::vector<std::optional<JournalEntry>> latest_records(
     const Journal& journal, std::uint64_t job_count) {
   std::vector<std::optional<JournalEntry>> latest(job_count);
@@ -474,8 +462,8 @@ std::vector<Job> expand_jobs(const SweepSpec& spec) {
 namespace {
 
 /// Stage 1, the job source: the grid, the jobs this shard owns, the
-/// journal (created, resumed or rebound per StreamOptions::resume) and the
-/// records a resume replays instead of running their jobs.
+/// journal (created, or opened to resume) and the records a resume replays
+/// instead of running their jobs.
 struct JobSource {
   std::vector<Job> jobs;             ///< The whole grid, in grid order.
   std::vector<std::uint64_t> owned;  ///< Jobs this shard runs, grid order.
@@ -488,16 +476,6 @@ JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
   validate_axes(spec);
   options.shard.validate();
   const std::string& path = options.journal_path;
-  if (options.resume != ResumeMode::kNone && path.empty()) {
-    throw std::invalid_argument("resume requires a journal path");
-  }
-  if (options.resume == ResumeMode::kPerCell && options.shard.count != 1) {
-    // A spec edit can change any cell, and stale records would be stranded
-    // in whichever shard's journal round-robin (or a cost plan) previously
-    // assigned them — per-cell resume is a single-journal operation.
-    throw std::invalid_argument(
-        "per-cell incremental resume requires an unsharded sweep");
-  }
   if (options.stop != nullptr && path.empty()) {
     throw std::invalid_argument(
         "a drainable run requires a journal (drain checkpoints into it)");
@@ -520,42 +498,29 @@ JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
     source.journal.emplace(Journal::create(path, meta));
     return source;
   }
-  if (options.resume == ResumeMode::kNone) {
-    // Never silently truncate journaled work — it is exactly the data the
-    // journal exists to protect.
-    throw std::runtime_error("journal " + path +
-                             " already exists; resume it (--resume) or "
-                             "delete it to start fresh");
-  }
-  const bool per_cell = options.resume == ResumeMode::kPerCell;
-  // Per-cell resume rebinds the journal to this spec's identity and keeps
-  // exactly the records whose cell definition is unchanged; stale ones
-  // (edited cell, changed seed, broken payload) are simply not done, and
-  // the re-run appends supersede them.
-  source.journal.emplace(per_cell ? Journal::open_rebind(path, meta)
-                                  : Journal::open_resume(path, meta));
+  // Resume: the journal is rebound to this spec's identity, and a record
+  // stands in for its job only while the job's definition is unchanged.
+  // Stale ones (failure, edited cell, changed seed, unreadable payload) are
+  // simply not done; the re-run appends supersede them.
+  source.journal.emplace(Journal::open_append(path, meta));
   source.done = latest_records(*source.journal, source.jobs.size());
   for (std::optional<JournalEntry>& record : source.done) {
     if (!record) continue;
     const std::uint64_t cell = record->job_index / spec.replicates;
-    // A quarantined job is not done: the resume re-runs it, and the
-    // success it journals supersedes the failure.
-    bool live = !record->failed;
-    if (!per_cell) {
-      check_entry_seed(path, *record, source.jobs);
-      if (!options.shard.owns_cell(cell)) {
-        throw std::runtime_error("journal " + path + ": records job " +
-                                 std::to_string(record->job_index) +
-                                 " outside this shard");
-      }
-    } else if (live) {
+    if (!options.shard.owns_cell(cell)) {
+      throw std::runtime_error("journal " + path + ": records job " +
+                               std::to_string(record->job_index) +
+                               " outside this shard");
+    }
+    bool live = !record->failed &&
+                record->seed == source.jobs[record->job_index].request.seed;
+    if (live) {
       // Every journaled payload carries its cell's identity hash (0 when
       // journaled before stamping, which is stale too).
       std::uint64_t stamped = 0;
       try {
         source.journal->read_payload(*record, &stamped);
-        live = record->seed == source.jobs[record->job_index].request.seed &&
-               stamped == cell_hash(spec, cell);
+        live = stamped == cell_hash(spec, cell);
       } catch (const std::exception&) {
         live = false;
       }
@@ -801,7 +766,6 @@ StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
   stats.drained = draining;
   if (!draining) sink.end();
   if (source.journal) source.journal->close();
-  stats.tasks_stolen = pool.steal_count();
   stats.cells_emitted = folder.cells_emitted();
   stats.cells_failed = folder.cells_failed();
   stats.wall_seconds =
@@ -849,7 +813,14 @@ StreamStats merge_journals(const SweepSpec& spec,
     for (const std::optional<JournalEntry>& record :
          latest_records(journal, jobs.size())) {
       if (!record) continue;
-      check_entry_seed(path, *record, jobs);
+      const std::uint64_t seed = jobs[record->job_index].request.seed;
+      if (record->seed != seed) {
+        throw std::runtime_error(
+            "journal " + path + ": job " + std::to_string(record->job_index) +
+            " was journaled with seed " + std::to_string(record->seed) +
+            " but the spec derives " + std::to_string(seed) +
+            " — seed derivation mismatch, refusing to merge");
+      }
       auto& slot = where[record->job_index];
       if (slot) {
         throw std::runtime_error(

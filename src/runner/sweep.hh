@@ -111,7 +111,7 @@ SweepMeta meta_of(const SweepSpec& spec);
 /// Hash of everything serializable that determines a sweep's results:
 /// axes, labels, machine geometry, seeds (i.e. the seed-derivation
 /// scheme), replicates and access budget.  A journal stamped with a
-/// different hash must not be resumed — the jobs it records are not the
+/// different hash must not be merged — the jobs it records are not the
 /// jobs the spec would run.  Caveat: a custom `make_workload` factory is
 /// code and cannot be hashed; the hash distinguishes custom-vs-default
 /// but NOT two different custom factories, so callers substituting
@@ -123,10 +123,10 @@ std::uint64_t spec_hash(const SweepSpec& spec);
 /// per-replicate seeds, access budget, workload source — plus the cell's
 /// grid position (a reordered grid is a different binding of results to
 /// cells).  The per-cell analogue of spec_hash: journals stamp it into
-/// every job payload so an incremental re-sweep (ResumeMode::kPerCell)
-/// can keep journaled cells whose definition is unchanged
-/// and re-run exactly the ones a spec edit invalidated.  Same caveat as
-/// spec_hash: a custom make_workload factory hashes by presence only.
+/// every job payload so a resume (run_streaming on an existing journal)
+/// keeps journaled cells whose definition is unchanged and re-runs exactly
+/// the ones a spec edit invalidated.  Same caveat as spec_hash: a custom
+/// make_workload factory hashes by presence only.
 std::uint64_t cell_hash(const SweepSpec& spec, std::uint64_t cell_index);
 
 /// One quarantined replicate of a cell: the job failed every attempt and
@@ -207,8 +207,9 @@ struct ShardSpec {
   /// stops gating every shard's wall clock.  The assignment is NOT stored
   /// in the journal header — resuming a planned shard requires recomputing
   /// the same assignment (same cost journal), which plan_shards makes
-  /// deterministic; --merge never checks ownership, so merging planned
-  /// shards needs nothing extra.
+  /// deterministic, and a resume under another plan throws on the first
+  /// record its shard no longer owns; --merge never checks ownership, so
+  /// merging planned shards needs nothing extra.
   std::vector<std::uint32_t> assignment;
 
   /// True when this shard owns cell `cell_index` (round-robin by cell, so
@@ -250,35 +251,13 @@ std::vector<std::uint32_t> plan_shards(const std::vector<double>& cell_costs,
 std::vector<double> cell_costs_from_journal(const SweepSpec& spec,
                                             const std::string& journal_path);
 
-/// What run_streaming does with an existing journal at
-/// StreamOptions::journal_path.  Every mode creates a missing journal.
-enum class ResumeMode {
-  /// An existing journal is an error: it is journaled work, and
-  /// truncating it silently would defeat the point.
-  kNone,
-  /// Jobs the journal records are not re-run; their results replay from
-  /// disk into the sink.  The journal's spec hash, shard and per-job seeds
-  /// must match `spec`.
-  kStrict,
-  /// Per-cell incremental resume: instead of refusing a journal whose spec
-  /// hash differs, rebind it (Journal::open_rebind) and keep exactly the
-  /// journaled jobs whose payload cell hash still matches cell_hash(spec,
-  /// cell) and whose seed matches the spec's derivation — every other job
-  /// re-runs and supersedes its stale record.  An unchanged spec resumes
-  /// everything (identical to kStrict); an edited spec re-runs only the
-  /// cells the edit invalidated.  Requires shard.count == 1 (a changed
-  /// grid cannot be re-partitioned against stale shard journals).
-  kPerCell,
-};
-
 /// Options for run_streaming().
 struct StreamOptions {
   /// When non-empty, every finished job is appended to this journal (plus
-  /// its `.data` payload sidecar) so the sweep survives a kill -9.
+  /// its `.data` payload sidecar) so the sweep survives a kill -9.  A
+  /// missing journal is created; an existing one resumes (see
+  /// run_streaming).
   std::string journal_path;
-  /// How an existing journal at `journal_path` is treated; every mode but
-  /// kNone requires a path.
-  ResumeMode resume = ResumeMode::kNone;
   ShardSpec shard;
   /// Upper bound on jobs in flight plus finished-but-unfolded results —
   /// the knob that makes peak residency O(jobs) instead of O(grid).
@@ -334,7 +313,6 @@ struct StreamOptions {
 /// reports (scheduling-dependent); `peak_resident_results` is the test
 /// hook that pins the O(jobs) residency guarantee.
 struct StreamStats {
-  std::uint64_t tasks_stolen = 0;
   double wall_seconds = 0.0;
   std::uint64_t jobs_total = 0;     ///< Jobs owned by this shard.
   std::uint64_t jobs_executed = 0;  ///< Simulated this run.
@@ -368,7 +346,7 @@ struct StreamStats {
 std::uint64_t retry_backoff_ms(std::uint32_t base_ms, std::uint32_t attempt,
                                std::uint64_t job_index);
 
-/// Executes sweeps on a work-stealing pool.
+/// Executes sweeps on a thread pool.
 class SweepRunner {
  public:
   /// `jobs` = worker threads; 0 means core::bench_jobs() (ALLARM_JOBS or
@@ -381,10 +359,14 @@ class SweepRunner {
 
   /// Streaming core: runs the jobs of `options.shard`, folds each cell in
   /// grid order into `sink` as its last replicate completes, then drops
-  /// it.  With a journal path, finished jobs persist as they complete and
-  /// `options.resume` skips already-journaled jobs.  Sink calls happen on
-  /// the calling thread.  The stages (job source, attempt executor,
-  /// journal writer, grid-order fold) are mapped in docs/SWEEPS.md.
+  /// it.  With a journal path, finished jobs persist as they complete, and
+  /// an existing journal resumes: a job whose latest intact record is a
+  /// result with the spec's seed and cell hash replays from disk instead
+  /// of running; every other job runs and its append supersedes the stale
+  /// record.  A record for a cell this shard does not own throws.  Sink
+  /// calls happen on the calling thread.  The stages (job source, attempt
+  /// executor, journal writer, grid-order fold) are mapped in
+  /// docs/SWEEPS.md.
   StreamStats run_streaming(const SweepSpec& spec, ResultSink& sink,
                             const StreamOptions& options = {}) const;
 

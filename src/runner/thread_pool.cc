@@ -11,11 +11,11 @@
 
 namespace allarm::runner {
 
-ThreadPool::ThreadPool(std::uint32_t workers)
-    : queues_(std::max<std::uint32_t>(workers, 1)) {
-  threads_.reserve(queues_.size());
-  for (std::uint32_t i = 0; i < queues_.size(); ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(std::uint32_t workers) {
+  const std::uint32_t count = std::max<std::uint32_t>(workers, 1);
+  threads_.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    threads_.emplace_back([this] { worker_loop(); });
 #if defined(__linux__)
     // Name the workers so `top -H`, perf and core dumps attribute sweep
     // time to the pool instead of anonymous threads (15-char limit).
@@ -37,13 +37,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(Task task) {
-  // An empty task would be indistinguishable from the stop sentinel the
-  // workers use and would wedge wait_idle(); reject it up front.
+  // An empty task is a caller bug; reject it here rather than surface a
+  // bad_function_call from some later wait_idle().
   if (!task) throw std::invalid_argument("ThreadPool: empty task");
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % static_cast<std::uint32_t>(queues_.size());
+    queue_.push_back(std::move(task));
     ++unfinished_;
   }
   work_cv_.notify_one();
@@ -64,42 +63,20 @@ void ThreadPool::wait_idle_no_rethrow() {
   idle_cv_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
-std::uint64_t ThreadPool::steal_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return steals_;
-}
-
 std::uint32_t ThreadPool::busy_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return busy_;
 }
 
-bool ThreadPool::try_pop(std::uint32_t self, Task& task) {
-  if (!queues_[self].empty()) {
-    task = std::move(queues_[self].front());
-    queues_[self].pop_front();
-    return true;
-  }
-  const auto n = static_cast<std::uint32_t>(queues_.size());
-  for (std::uint32_t i = 1; i < n; ++i) {
-    auto& victim = queues_[(self + i) % n];
-    if (!victim.empty()) {
-      task = std::move(victim.back());
-      victim.pop_back();
-      ++steals_;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::uint32_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return try_pop(self, task) || stopping_; });
-      if (!task) return;  // Stopping and no work left.
+      work_cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // Stopping and no work left.
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++busy_;
     }
     std::exception_ptr error;

@@ -1,16 +1,17 @@
-// A small work-stealing thread pool for experiment-level parallelism.
+// A small thread pool for experiment-level parallelism.
 //
 // Every simulation in a sweep is independent (one fresh System per job), so
-// the pool only has to keep cores busy: each worker owns a deque, submit()
-// deals tasks round-robin, owners pop from the front of their own deque and
-// idle workers steal from the back of someone else's.  Tasks are coarse
-// (whole simulations, milliseconds to minutes), so queue operations are
-// guarded by one mutex rather than lock-free deques — contention is
-// unmeasurable at this granularity and the simple design is easy to audit.
+// the pool only has to keep cores busy: submit() appends to one FIFO queue
+// and every idle worker pops its front, so tasks start in submission order
+// (the order run_streaming folds them in).  Tasks are coarse (whole
+// simulations, milliseconds to minutes), so one mutex guards the queue —
+// contention is unmeasurable at this granularity and the simple design is
+// easy to audit.
 //
-// Determinism note: the pool makes NO ordering guarantees.  Reproducibility
-// of sweep output comes from jobs deriving their seeds from grid coordinates
-// and writing results to preassigned slots (see runner/sweep.cc).
+// Determinism note: tasks START in submission order but may finish in any
+// order.  Reproducibility of sweep output comes from jobs deriving their
+// seeds from grid coordinates and folding in grid order (see
+// runner/sweep.cc).
 #pragma once
 
 #include <condition_variable>
@@ -51,40 +52,29 @@ class ThreadPool {
   void wait_idle();
 
   std::uint32_t worker_count() const {
-    return static_cast<std::uint32_t>(queues_.size());
+    return static_cast<std::uint32_t>(threads_.size());
   }
-
-  /// Number of tasks executed by a worker other than the one they were
-  /// dealt to.  Diagnostic only (tests, --verbose sweeps).
-  std::uint64_t steal_count() const;
 
   /// Workers currently executing a task.  A sampled utilization gauge for
   /// the service heartbeat — instantaneous, already stale when returned.
   std::uint32_t busy_count() const;
 
  private:
-  void worker_loop(std::uint32_t self);
+  void worker_loop();
   /// wait_idle() without the rethrow, for the destructor (which must not
   /// throw) and as the shared blocking core.
   void wait_idle_no_rethrow();
 
-  /// Pops the next task for worker `self`: front of its own deque, else the
-  /// back of the first non-empty peer deque (a steal).  Returns false when
-  /// no work is available.  Caller holds `mutex_`.
-  bool try_pop(std::uint32_t self, Task& task);
-
-  std::vector<std::deque<Task>> queues_;  // One per worker.
-  std::vector<std::thread> threads_;
-
-  mutable std::mutex mutex_;        // Guards queues_ and the counters below.
+  mutable std::mutex mutex_;        // Guards queue_ and the counters below.
   std::condition_variable work_cv_;  // Signals workers: work or stop.
   std::condition_variable idle_cv_;  // Signals wait_idle(): all done.
+  std::deque<Task> queue_;           // Submitted tasks not yet started.
   std::uint64_t unfinished_ = 0;     // Tasks submitted but not yet completed.
-  std::uint64_t steals_ = 0;
   std::uint32_t busy_ = 0;           // Workers currently inside task().
   std::exception_ptr first_error_;   // First exception leaked by a task.
-  std::uint32_t next_queue_ = 0;     // Round-robin dealing cursor.
   bool stopping_ = false;
+
+  std::vector<std::thread> threads_;  // Last: the workers use the above.
 };
 
 }  // namespace allarm::runner

@@ -136,11 +136,9 @@ void drive_request(const Spool& spool, const runner::SweepRunner& runner,
                                 request.csv ? spool.report_csv(active.id) : "",
                                 request.timing, request.profile);
     runner::StreamOptions options;
+    // A fresh journal is created, an interrupted one resumes, and a
+    // resubmitted-with-edits one re-runs exactly the invalidated cells.
     options.journal_path = spool.journal_path(active.id);
-    // Always the incremental path: a fresh journal is created, an
-    // interrupted one resumes, and a resubmitted-with-edits one re-runs
-    // exactly the invalidated cells.
-    options.resume = runner::ResumeMode::kPerCell;
     options.pool = &pool;
     options.stop = &stop;
     options.progress = &active.progress;

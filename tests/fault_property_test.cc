@@ -1,7 +1,8 @@
 // The fault-schedule property: under ANY injected fault, a streaming
 // sweep either completes with a byte-identical report (the fault was
 // absorbed — retried, EINTR'd, delayed, or scheduled past the run) or
-// fails loudly and a clean --resume reproduces the reference bytes.
+// fails loudly and a clean rerun on its journal reproduces the reference
+// bytes.
 // Plus targeted checks of the self-healing knobs: retry/backoff heals
 // transient faults, quarantine converts permanent failures into
 // structured `failed` records, and the per-cell watchdog fires without
@@ -153,10 +154,8 @@ TEST_F(FaultProperty, EveryScheduleCompletesIdenticalOrResumesToReference) {
       // reproduces the reference exactly.
       EXPECT_NE(error.find("injected fault"), std::string::npos)
           << "schedule " << schedule << " failed with: " << error;
-      runner::StreamOptions resume = options;
-      resume.resume = runner::ResumeMode::kStrict;
       runner::StreamStats stats;
-      EXPECT_EQ(stream_json(spec, 1, resume, &stats), reference)
+      EXPECT_EQ(stream_json(spec, 1, options, &stats), reference)
           << "schedule " << schedule << " (failed with: " << error << ")";
       EXPECT_EQ(stats.jobs_resumed + stats.jobs_executed, spec.job_count());
     }
@@ -236,7 +235,6 @@ TEST_F(FaultProperty, QuarantineEmitsStructuredFailureAndResumesToClean) {
   // Resume re-runs exactly the quarantined job and recovers the reference.
   runner::StreamOptions resume;
   resume.journal_path = journal;
-  resume.resume = runner::ResumeMode::kStrict;
   runner::StreamStats resumed;
   EXPECT_EQ(stream_json(spec, 1, resume, &resumed), reference);
   EXPECT_EQ(resumed.jobs_executed, 1u);

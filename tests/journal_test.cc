@@ -283,18 +283,18 @@ TEST(Journal, RecoversFromTornFinalRecord) {
   truncate_file(path, runner::Journal::kHeaderSize +
                           2 * runner::Journal::kRecordSize + 13);
 
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   EXPECT_EQ(index.entries.size(), 2u);
   EXPECT_EQ(index.dropped_records, 1u);  // The torn tail.
 
   // Resume truncates the tail and appends cleanly after it.
   {
-    auto journal = runner::Journal::open_resume(path, sample_meta());
+    auto journal = runner::Journal::open_append(path, sample_meta());
     EXPECT_EQ(journal.record_count(), 2u);
     journal.append(2, 102, sample_result(2));
     journal.close();
   }
-  const runner::JournalIndex after = runner::Journal::load_index(path);
+  const runner::JournalIndex after = runner::Journal::open_read(path).index();
   EXPECT_EQ(after.entries.size(), 3u);
   EXPECT_TRUE(after.entries.back().payload_ok);
   remove_journal(path);
@@ -311,7 +311,7 @@ TEST(Journal, DropsRecordsFromFirstCorruptOne) {
   // Corrupt record 1: it and everything after is untrusted.
   flip_byte(path, runner::Journal::kHeaderSize + runner::Journal::kRecordSize +
                       4);
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   EXPECT_EQ(index.entries.size(), 1u);
   EXPECT_EQ(index.dropped_records, 2u);
   remove_journal(path);
@@ -329,7 +329,7 @@ TEST(Journal, FlagsCorruptPayloadWithoutLosingLaterRecords) {
     journal.close();
   }
   flip_byte(runner::journal_data_path(path), payload0_offset + 2);
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   ASSERT_EQ(index.entries.size(), 2u);
   EXPECT_FALSE(index.entries[0].payload_ok);  // Job 0 must re-run...
   EXPECT_TRUE(index.entries[1].payload_ok);   // ...job 1 is still good.
@@ -348,7 +348,7 @@ TEST(Journal, TornPayloadTailInvalidatesItsRecord) {
   // Chop the last payload short: its record now points past EOF.
   const std::string data = runner::journal_data_path(path);
   truncate_file(data, File(data, File::Mode::kRead).size() - 5);
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   EXPECT_EQ(index.entries.size(), 1u);
   EXPECT_EQ(index.dropped_records, 1u);
   remove_journal(path);
@@ -371,7 +371,7 @@ TEST(Journal, RecoversFromDoubleTornTail) {
   const std::uint64_t data_size = File(data, File::Mode::kRead).size();
   truncate_file(data, data_size / 2);  // Tears into record 1's payload.
 
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   // Whatever survives is intact; everything referencing torn bytes is
   // dropped or flagged, never trusted.
   std::uint64_t usable = 0;
@@ -386,19 +386,19 @@ TEST(Journal, RecoversFromDoubleTornTail) {
 
   // And resume appends cleanly after the recovered extent.
   {
-    auto journal = runner::Journal::open_resume(path, sample_meta());
+    auto journal = runner::Journal::open_append(path, sample_meta());
     journal.append(9, 109, sample_result(9));
     journal.close();
   }
-  const runner::JournalIndex after = runner::Journal::load_index(path);
+  const runner::JournalIndex after = runner::Journal::open_read(path).index();
   EXPECT_TRUE(after.entries.back().payload_ok);
   EXPECT_EQ(after.entries.back().job_index, 9u);
   remove_journal(path);
 }
 
 TEST(Journal, AppendSurvivesInjectedWriteFailureViaResume) {
-  // A pwrite that tears mid-append must leave a journal that load_index
-  // recovers (prefix intact) and open_resume continues.
+  // A pwrite that tears mid-append must leave a journal that a scan
+  // recovers (prefix intact) and open_append continues.
   const std::string path = temp_path("journal");
   remove_journal(path);
   {
@@ -408,16 +408,16 @@ TEST(Journal, AppendSurvivesInjectedWriteFailureViaResume) {
     EXPECT_THROW(journal.append(1, 101, sample_result(1)),
                  std::runtime_error);
   }
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   ASSERT_GE(index.entries.size(), 1u);
   EXPECT_EQ(index.entries[0].job_index, 0u);
   EXPECT_TRUE(index.entries[0].payload_ok);
   {
-    auto journal = runner::Journal::open_resume(path, sample_meta());
+    auto journal = runner::Journal::open_append(path, sample_meta());
     journal.append(1, 101, sample_result(1));
     journal.close();
   }
-  const runner::JournalIndex after = runner::Journal::load_index(path);
+  const runner::JournalIndex after = runner::Journal::open_read(path).index();
   EXPECT_EQ(after.entries.size(), 2u);
   EXPECT_TRUE(after.entries[1].payload_ok);
   failpoint::clear();
@@ -461,7 +461,7 @@ TEST(Journal, FailureRecordsRoundTrip) {
     journal.append_failed(1, 101, failure);
     journal.close();
   }
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   ASSERT_EQ(index.entries.size(), 2u);
   EXPECT_FALSE(index.entries[0].failed);
   EXPECT_TRUE(index.entries[1].failed);
@@ -486,7 +486,7 @@ TEST(Journal, LaterSuccessSupersedesAFailureRecordOnResume) {
     journal.append(1, 101, sample_result(1));
     journal.close();
   }
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   ASSERT_EQ(index.entries.size(), 3u);
   // Fold the way resume does: failed erases, success (re)inserts.
   bool job1_done = false;
@@ -503,17 +503,16 @@ TEST(Journal, RejectsMetaMismatchOnResume) {
   remove_journal(path);
   runner::Journal::create(path, sample_meta()).close();
 
+  // Another grid shape or shard cannot be reinterpreted; a different spec
+  // hash rebinds instead (ResumeCells.SeedChangeRebindsAndRerunsEverything).
   runner::JournalMeta other = sample_meta();
-  other.spec_hash ^= 1;
-  EXPECT_THROW(runner::Journal::open_resume(path, other), std::runtime_error);
-  other = sample_meta();
   other.job_count += 1;
-  EXPECT_THROW(runner::Journal::open_resume(path, other), std::runtime_error);
+  EXPECT_THROW(runner::Journal::open_append(path, other), std::runtime_error);
   other = sample_meta();
   other.shard_index = 2;
   other.shard_count = 2;
-  EXPECT_THROW(runner::Journal::open_resume(path, other), std::runtime_error);
-  EXPECT_NO_THROW(runner::Journal::open_resume(path, sample_meta()).close());
+  EXPECT_THROW(runner::Journal::open_append(path, other), std::runtime_error);
+  EXPECT_NO_THROW(runner::Journal::open_append(path, sample_meta()).close());
   remove_journal(path);
 }
 
@@ -525,9 +524,9 @@ TEST(Journal, RejectsGarbageHeader) {
     f << "this is not a journal, not even 64 bytes of one";
   }
   { std::ofstream f(runner::journal_data_path(path), std::ios::binary); }
-  EXPECT_THROW(runner::Journal::load_index(path), std::runtime_error);
+  EXPECT_THROW(runner::Journal::open_read(path), std::runtime_error);
   append_bytes(path, std::string(64, '\0'));
-  EXPECT_THROW(runner::Journal::load_index(path), std::runtime_error);
+  EXPECT_THROW(runner::Journal::open_read(path), std::runtime_error);
   remove_journal(path);
 }
 
@@ -828,7 +827,7 @@ TEST(Streaming, JournalRecordsPerJobWallClock) {
   options.journal_path = path;
   runner::SweepRunner(2).run_streaming(spec, sink, options);
 
-  const runner::JournalIndex index = runner::Journal::load_index(path);
+  const runner::JournalIndex index = runner::Journal::open_read(path).index();
   ASSERT_EQ(index.entries.size(), spec.job_count());
   runner::Journal journal = runner::Journal::open_read(path);
   for (const runner::JournalEntry& entry : index.entries) {
@@ -910,7 +909,7 @@ TEST(Streaming, MergeRefusesACorruptShardInsteadOfDroppingItsJobs) {
   // Rot one payload in shard 1: its job is untrusted, so the merge no
   // longer covers the grid and must refuse — never a silently thinner
   // report.
-  const runner::JournalIndex index = runner::Journal::load_index(j1);
+  const runner::JournalIndex index = runner::Journal::open_read(j1).index();
   flip_byte(runner::journal_data_path(j1),
             index.entries[0].payload_offset + 1);
   std::ostringstream out;
@@ -948,26 +947,26 @@ TEST(Streaming, MergeRejectsOverlapAndIncompleteCoverage) {
   remove_journal(j1);
 }
 
-TEST(Streaming, RefusesToTruncateAnExistingJournalWithoutResume) {
+TEST(Streaming, IdenticalRerunOnAnExistingJournalResumesEverything) {
   const auto spec = tiny_spec();
   const std::string path = temp_path("journal");
   remove_journal(path);
 
   runner::StreamOptions options;
   options.journal_path = path;
-  stream_json(spec, 2, options);  // First run journals to completion.
+  const std::string first = stream_json(spec, 2, options);  // Journals all.
 
-  // Rerunning without resume must refuse, not wipe the journaled work.
-  std::ostringstream out;
-  runner::JsonStreamSink sink(out);
-  EXPECT_THROW(runner::SweepRunner(2).run_streaming(spec, sink, options),
-               std::runtime_error);
-  EXPECT_EQ(runner::Journal::load_index(path).entries.size(),
-            spec.job_count());  // Untouched.
+  // Rerunning on the journal resumes it: nothing runs, nothing appends.
+  runner::StreamStats stats;
+  EXPECT_EQ(stream_json(spec, 2, options, &stats), first);
+  EXPECT_EQ(stats.jobs_executed, 0u);
+  EXPECT_EQ(stats.jobs_resumed, spec.job_count());
+  EXPECT_EQ(runner::Journal::open_read(path).index().entries.size(),
+            spec.job_count());
   remove_journal(path);
 }
 
-TEST(Streaming, ResumeRejectsSeedDerivationMismatch) {
+TEST(Streaming, ResumeRerunsMisSeededAndUnstampedRecords) {
   const auto spec = tiny_spec();
   const auto jobs = runner::expand_jobs(spec);
   const std::string path = temp_path("journal");
@@ -979,45 +978,61 @@ TEST(Streaming, ResumeRejectsSeedDerivationMismatch) {
   meta.base_seed = spec.base_seed;
   {
     auto journal = runner::Journal::create(path, meta);
-    // Journaled under a seed the spec does not derive.
-    journal.append(0, jobs[0].request.seed + 1, sample_result(0));
+    // Job 0 journaled under a seed the spec does not derive; job 1 under
+    // the right seed but without a cell stamp (a pre-stamping journal).
+    journal.append(0, jobs[0].request.seed + 1, sample_result(0),
+                   runner::cell_hash(spec, 0));
+    journal.append(1, jobs[1].request.seed, sample_result(1));
     journal.close();
   }
   runner::StreamOptions options;
   options.journal_path = path;
-  options.resume = runner::ResumeMode::kStrict;
-  std::ostringstream out;
-  runner::JsonStreamSink sink(out);
-  EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
-               std::runtime_error);
+  runner::StreamStats stats;
+  EXPECT_EQ(stream_json(spec, 1, options, &stats), stream_json(spec, 1));
+  EXPECT_EQ(stats.jobs_executed, spec.job_count());
+  EXPECT_EQ(stats.jobs_resumed, 0u);
+  remove_journal(path);
+}
+
+TEST(Streaming, ResumeRerunsAPayloadThatFailsToReadAtOpen) {
+  const auto spec = tiny_spec();
+  const std::string path = temp_path("journal");
+  remove_journal(path);
+  runner::StreamOptions options;
+  options.journal_path = path;
+  const std::string reference = stream_json(spec, 2, options);
+
+  // The first payload read (job 0's, at open) fails: job 0 re-runs.
+  runner::StreamStats stats;
+  {
+    failpoint::Scoped guard("journal.read_payload=err@1");
+    EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
+  }
+  EXPECT_EQ(stats.jobs_executed, 1u);
+  EXPECT_EQ(stats.jobs_resumed, spec.job_count() - 1);
   remove_journal(path);
 }
 
 TEST(Streaming, FaultWhileCreatingTheJournalLeavesItResumable) {
   // A fault while the journal is created — opening its second file (open
   // #2) or writing its header (pwrite #1) — must leave no journal or a
-  // valid empty one, so either resume mode finishes the sweep.
+  // valid empty one, so a rerun finishes the sweep.
   const auto spec = tiny_spec();
   const std::string reference = stream_json(spec, 1);
   for (const char* fault : {"fileio.open=err@2", "fileio.pwrite=err@1"}) {
-    for (const runner::ResumeMode mode :
-         {runner::ResumeMode::kStrict, runner::ResumeMode::kPerCell}) {
-      const std::string path = temp_path("journal");
-      remove_journal(path);
-      runner::StreamOptions options;
-      options.journal_path = path;
-      {
-        failpoint::Scoped guard(fault);
-        EXPECT_THROW(stream_json(spec, 1, options), std::runtime_error)
-            << fault;
-      }
-      options.resume = mode;
-      runner::StreamStats stats;
-      EXPECT_EQ(stream_json(spec, 1, options, &stats), reference) << fault;
-      EXPECT_EQ(stats.jobs_executed, spec.job_count()) << fault;
-      remove_journal(path);
-      std::remove((path + ".tmp").c_str());
+    const std::string path = temp_path("journal");
+    remove_journal(path);
+    runner::StreamOptions options;
+    options.journal_path = path;
+    {
+      failpoint::Scoped guard(fault);
+      EXPECT_THROW(stream_json(spec, 1, options), std::runtime_error) << fault;
     }
+    runner::StreamStats stats;
+    EXPECT_EQ(stream_json(spec, 1, options, &stats), reference) << fault;
+    EXPECT_EQ(stats.jobs_executed, spec.job_count()) << fault;
+    remove_journal(path);
+    std::remove((path + ".tmp").c_str());
   }
 }
 
@@ -1059,7 +1074,6 @@ TEST(Streaming, ResumeFromAnyKillPointReproducesTheReport) {
 
     runner::StreamOptions resume;
     resume.journal_path = crash;
-    resume.resume = runner::ResumeMode::kStrict;
     runner::StreamStats stats;
     EXPECT_EQ(stream_json(spec, 3, resume, &stats), reference)
         << "kill point " << k << ", trial " << trial;
@@ -1105,8 +1119,7 @@ TEST(ResumeCells, EditedConfigRerunsOnlyItsCells) {
   const std::string path = temp_path("journal");
   remove_journal(path);
   runner::StreamOptions options;
-  options.journal_path = path;
-  options.resume = runner::ResumeMode::kPerCell;  // Missing: created fresh.
+  options.journal_path = path;  // Missing: created fresh.
   runner::StreamStats stats;
   stream_json(spec, 2, options, &stats);
   EXPECT_EQ(stats.jobs_executed, spec.job_count());
@@ -1135,10 +1148,9 @@ TEST(ResumeCells, SeedChangeRebindsAndRerunsEverything) {
   remove_journal(path);
   runner::StreamOptions options;
   options.journal_path = path;
-  options.resume = runner::ResumeMode::kPerCell;
   stream_json(spec, 2, options);
 
-  // Per-cell resume rebinds instead of refusing: the new base seed
+  // Resume rebinds instead of refusing: the new base seed
   // invalidates every recorded job, so the whole grid re-runs, and the
   // journal is durably re-stamped for the new identity.
   auto reseeded = spec;
@@ -1157,24 +1169,81 @@ TEST(ResumeCells, SeedChangeRebindsAndRerunsEverything) {
   remove_journal(path);
 }
 
-TEST(ResumeCells, RequiresUnshardedRunWithJournal) {
-  const auto spec = tiny_spec();
-  std::ostringstream out;
-  runner::JsonStreamSink sink(out);
+/// Runs shard `index` of 2 of `spec` on journal `path`.
+runner::StreamStats run_shard(const runner::SweepSpec& spec,
+                              const std::string& path, std::uint32_t index) {
   runner::StreamOptions options;
-  options.resume = runner::ResumeMode::kPerCell;  // No journal path.
-  EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
-               std::invalid_argument);
-  options.journal_path = temp_path("journal");
-  options.shard = {1, 2, {}};
-  EXPECT_THROW(runner::SweepRunner(1).run_streaming(spec, sink, options),
-               std::invalid_argument);
+  options.journal_path = path;
+  options.shard = {index, 2, {}};
+  runner::StreamStats stats;
+  stream_json(spec, 2, options, &stats);
+  return stats;
+}
+
+TEST(ResumeCells, ShardsRerunOnlyTheEditedConfigsCells) {
+  auto spec = tiny_spec();
+  auto big = tiny_config();
+  big.l2 = CacheConfig{64 * kLineBytes, 4, ticks_from_ns(1.0)};
+  spec.configs.push_back({"big", big});  // 8 cells, 16 jobs.
+  const std::string j1 = temp_path("shard1");
+  const std::string j2 = temp_path("shard2");
+  remove_journal(j1);
+  remove_journal(j2);
+  run_shard(spec, j1, 1);
+  run_shard(spec, j2, 2);
+
+  // Each cell keeps its owner across the edit, so each shard re-runs just
+  // its own cells of the edited config, and the shards still merge.
+  auto edited = spec;
+  edited.configs[1].config.l2.ways = 8;
+  const runner::StreamStats s1 = run_shard(edited, j1, 1);
+  const runner::StreamStats s2 = run_shard(edited, j2, 2);
+  EXPECT_EQ(s1.jobs_executed, spec.job_count() / 4);
+  EXPECT_EQ(s2.jobs_executed, spec.job_count() / 4);
+  EXPECT_EQ(s1.jobs_resumed + s2.jobs_resumed, spec.job_count() / 2);
+
+  std::ostringstream merged;
+  runner::JsonStreamSink sink(merged);
+  runner::merge_journals(edited, {j1, j2}, sink);
+  EXPECT_EQ(merged.str(), stream_json(edited, 2));
+  remove_journal(j1);
+  remove_journal(j2);
+}
+
+TEST(ResumeCells, ShardJournalRecordingAnotherShardsCellThrows) {
+  const auto spec = tiny_spec();
+  const std::string path = temp_path("shard1");
+  remove_journal(path);
+  run_shard(spec, path, 1);
+
+  // Cell 1 belongs to shard 2 under round-robin.
+  runner::JournalMeta meta;
+  meta.spec_hash = runner::spec_hash(spec);
+  meta.job_count = spec.job_count();
+  meta.base_seed = spec.base_seed;
+  meta.shard_count = 2;
+  const std::uint64_t job = spec.replicates;  // Cell 1's first replicate.
+  {
+    auto journal = runner::Journal::open_append(path, meta);
+    journal.append(job, runner::expand_jobs(spec)[job].request.seed,
+                   sample_result(0), runner::cell_hash(spec, 1));
+    journal.close();
+  }
+  try {
+    run_shard(spec, path, 1);
+    FAIL() << "resume accepted a record for a cell this shard does not own";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("outside this shard"),
+              std::string::npos)
+        << e.what();
+  }
+  remove_journal(path);
 }
 
 // ------------------------------------------ one rule for reading a journal ----
 //
-// Strict resume, per-cell resume, merge and cost planning all read each
-// job's latest record whose payload verified, then apply their own rule.
+// Resume, merge and cost planning all read each job's latest record whose
+// payload verified, then apply their own rule.
 
 /// Journals a full run of `spec` at `path`, then appends one more record
 /// for job 0: a quarantine record, or a result whose payload is then
@@ -1191,7 +1260,7 @@ void journal_with_trailing_record(const runner::SweepSpec& spec,
   meta.job_count = spec.job_count();
   meta.base_seed = spec.base_seed;
   const std::uint64_t seed = runner::expand_jobs(spec)[0].request.seed;
-  auto journal = runner::Journal::open_resume(path, meta);
+  auto journal = runner::Journal::open_append(path, meta);
   if (failure) {
     journal.append_failed(0, seed, {1, "injected"});
   } else {
@@ -1199,7 +1268,7 @@ void journal_with_trailing_record(const runner::SweepSpec& spec,
   }
   journal.close();
   if (!failure) {
-    const runner::JournalIndex index = runner::Journal::load_index(path);
+    const runner::JournalIndex index = runner::Journal::open_read(path).index();
     flip_byte(runner::journal_data_path(path),
               index.entries.back().payload_offset + 1);
   }
@@ -1218,18 +1287,13 @@ std::vector<double> journaled_wall_ns(const runner::SweepSpec& spec,
   return wall;
 }
 
-void copy_journal(const std::string& from, const std::string& to) {
-  write_file_durable(to, read_file(from));
-  write_file_durable(runner::journal_data_path(to),
-                     read_file(runner::journal_data_path(from)));
-}
-
 TEST(JournalReadRule, DamagedRecordNeverHidesAnEarlierIntactOne) {
   const auto spec = tiny_spec();
   const std::string reference = stream_json(spec, 2);
   const std::string path = temp_path("journal");
   journal_with_trailing_record(spec, path, /*failure=*/false);
-  ASSERT_FALSE(runner::Journal::load_index(path).entries.back().payload_ok);
+  ASSERT_FALSE(
+      runner::Journal::open_read(path).index().entries.back().payload_ok);
 
   // Cost planning measures job 0 from its intact record, not the mean.
   const std::vector<double> wall = journaled_wall_ns(spec, path);
@@ -1242,16 +1306,12 @@ TEST(JournalReadRule, DamagedRecordNeverHidesAnEarlierIntactOne) {
   EXPECT_EQ(runner::merge_journals(spec, {path}, sink).jobs_failed, 0u);
   EXPECT_EQ(merged.str(), reference);
 
-  for (const runner::ResumeMode mode :
-       {runner::ResumeMode::kPerCell, runner::ResumeMode::kStrict}) {
-    runner::StreamOptions options;
-    options.journal_path = path;
-    options.resume = mode;
-    runner::StreamStats stats;
-    EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
-    EXPECT_EQ(stats.jobs_executed, 0u);
-    EXPECT_EQ(stats.jobs_resumed, spec.job_count());
-  }
+  runner::StreamOptions options;
+  options.journal_path = path;
+  runner::StreamStats stats;
+  EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
+  EXPECT_EQ(stats.jobs_executed, 0u);
+  EXPECT_EQ(stats.jobs_resumed, spec.job_count());
   remove_journal(path);
 }
 
@@ -1278,22 +1338,13 @@ TEST(JournalReadRule, LaterFailureRecordSupersedesAnEarlierSuccess) {
   EXPECT_EQ(merge.cells_failed, 1u);
   EXPECT_NE(merged.str().find("\"failed\""), std::string::npos);
 
-  // Both resumes re-run the job (each on its own copy: the re-run's
-  // success supersedes the failure).
-  for (const runner::ResumeMode mode :
-       {runner::ResumeMode::kStrict, runner::ResumeMode::kPerCell}) {
-    const std::string copy = temp_path("copy");
-    remove_journal(copy);
-    copy_journal(path, copy);
-    runner::StreamOptions options;
-    options.journal_path = copy;
-    options.resume = mode;
-    runner::StreamStats stats;
-    EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
-    EXPECT_EQ(stats.jobs_executed, 1u);
-    EXPECT_EQ(stats.jobs_resumed, spec.job_count() - 1);
-    remove_journal(copy);
-  }
+  // Resume re-runs the job, and its success supersedes the failure.
+  runner::StreamOptions options;
+  options.journal_path = path;
+  runner::StreamStats stats;
+  EXPECT_EQ(stream_json(spec, 2, options, &stats), reference);
+  EXPECT_EQ(stats.jobs_executed, 1u);
+  EXPECT_EQ(stats.jobs_resumed, spec.job_count() - 1);
   remove_journal(path);
 }
 

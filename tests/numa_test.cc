@@ -1,5 +1,5 @@
 // Unit tests for the OS memory model: first-touch / interleaved placement,
-// spill, next-touch migration, kernel space, range registers, scheduling.
+// spill, kernel space, range registers, scheduling.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -30,16 +30,6 @@ TEST(FrameAllocator, HandsOutDistinctFrames) {
     EXPECT_TRUE(seen.insert(*f).second);
   }
   EXPECT_FALSE(fa.allocate_on(0).has_value());  // Exhausted.
-}
-
-TEST(FrameAllocator, ReleaseRecycles) {
-  FrameAllocator fa(1, 4);
-  fa.set_node_capacity(1);
-  const auto f = fa.allocate_on(0);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_FALSE(fa.allocate_on(0).has_value());
-  fa.release(*f);
-  EXPECT_EQ(fa.allocate_on(0), f);
 }
 
 TEST(FrameAllocator, CapacityCap) {
@@ -123,17 +113,6 @@ TEST(Os, TranslateWithoutAllocating) {
   const Addr p = os.touch(0, 0x7000, 4);
   ASSERT_TRUE(os.translate(0, 0x7000).has_value());
   EXPECT_EQ(*os.translate(0, 0x7000), p);
-}
-
-TEST(Os, NextTouchRehomesPage) {
-  Os os(table1(), AllocPolicy::kFirstTouch);
-  const Addr before = os.touch(0, 0xA000, 2);
-  EXPECT_EQ(os.home_of(before), 2);
-  EXPECT_TRUE(os.mark_next_touch(0, 0xA000));
-  const Addr after = os.touch(0, 0xA000, 7);  // Next toucher re-homes it.
-  EXPECT_EQ(os.home_of(after), 7);
-  EXPECT_EQ(os.stats().next_touch_migrations, 1u);
-  EXPECT_FALSE(os.mark_next_touch(0, 0xFFFF000));  // Unmapped page.
 }
 
 TEST(Os, KernelSpaceIsSharedAcrossAddressSpaces) {

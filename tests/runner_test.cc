@@ -1,11 +1,15 @@
 // Tests for the parallel sweep runner: per-cell seed derivation, the
-// work-stealing pool, scheduling-independent sweep output, and the
+// FIFO thread pool, scheduling-independent sweep output, and the
 // ALLARM_JOBS environment handling the sweep CLI and service rely on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -116,6 +120,48 @@ TEST(ThreadPool, KeepsOnlyTheFirstOfManyErrors) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "error 0");
   }
+}
+
+TEST(ThreadPool, TasksStartInSubmissionOrder) {
+  // Both workers held by blockers while eight tasks queue up; once one
+  // worker is freed, it must start them oldest first: the order
+  // run_streaming folds jobs in, so the fold frontier never waits behind a
+  // newer job.
+  runner::ThreadPool pool(2);
+  std::promise<void> release[2];
+  std::atomic<int> blocked{0};
+  for (std::promise<void>& gate : release) {
+    pool.submit([&blocked, done = gate.get_future().share()] {
+      ++blocked;
+      done.wait();
+    });
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+
+  constexpr int kTasks = 8;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<int> started;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.submit([&, i] {
+      std::lock_guard<std::mutex> lock(mutex);
+      started.push_back(i);
+      cv.notify_all();
+    });
+  }
+  release[0].set_value();
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] {
+      return started.size() == std::size_t{kTasks};
+    }));
+  }
+  release[1].set_value();
+  pool.wait_idle();
+
+  std::vector<int> submitted(kTasks);
+  std::iota(submitted.begin(), submitted.end(), 0);
+  EXPECT_EQ(started, submitted);
 }
 
 TEST(ThreadPool, NestedPoolsDrainIndependently) {

@@ -372,7 +372,6 @@ TEST(ServiceDrain, StopCheckpointsAndResumeIsByteIdentical) {
   std::atomic<bool> stop{true};
   runner::StreamOptions options;
   options.journal_path = journal;
-  options.resume = runner::ResumeMode::kPerCell;
   options.stop = &stop;
   runner::StreamStats stats;
   stream_json(spec, 2, options, &stats);
