@@ -47,7 +47,9 @@
 //                        side effect: reports are byte-identical
 //   --capture DIR        additionally capture every job's executed access
 //                        stream to DIR/job-<index>.altr (.altr binary
-//                        traces; see docs/TRACES.md).  Reports unchanged
+//                        traces; see docs/TRACES.md).  Reports unchanged.
+//                        Needs a fresh run: an existing --journal FILE
+//                        would resume, so it exits 2
 //   --replay DIR         replay every job from DIR/job-<index>.altr
 //                        (captured from the same grid) instead of running
 //                        the synthetic generators; the report is
@@ -79,8 +81,9 @@
 // byte-identical output at any --jobs setting, across kill/resume cycles,
 // and across --shard/--merge splits.  See docs/SWEEPS.md.
 //
-// Exit codes: 0 success, 1 error, 2 usage, 3 degraded completion (the
-// sweep finished but quarantined at least one job; see docs/ROBUSTNESS.md).
+// Exit codes: 0 success, 1 error, 2 usage (a flag, or a request the library
+// refuses as given), 3 degraded completion (the sweep finished but
+// quarantined at least one job; see docs/ROBUSTNESS.md).
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -320,15 +323,6 @@ Options parse(int argc, char** argv) {
     std::cerr << "--capture and --replay are mutually exclusive\n";
     usage(2);
   }
-  struct stat journal_stat{};
-  if (!options.capture_dir.empty() && !options.journal.empty() &&
-      ::stat(options.journal.c_str(), &journal_stat) == 0) {
-    // Jobs replayed from the journal never execute, so their traces would
-    // silently be missing (or torn) from the capture directory.
-    std::cerr << "--capture needs a full fresh run; journal "
-              << options.journal << " exists and would resume\n";
-    usage(2);
-  }
   if ((!options.capture_dir.empty() || !options.replay_dir.empty()) &&
       options.grid == "trace") {
     std::cerr << "--capture/--replay apply to synthetic grids; the trace "
@@ -453,6 +447,11 @@ int main(int argc, char** argv) try {
   }
   std::cerr << "\n";
   return stats.jobs_failed > 0 ? 3 : 0;
+} catch (const std::invalid_argument& e) {
+  // The library refused the request as given (e.g. --capture on a journal
+  // that would resume, or a trace-grid --cores count the machine lacks).
+  std::cerr << "sweep: " << e.what() << "\n";
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "sweep: " << e.what() << "\n";
   return 1;

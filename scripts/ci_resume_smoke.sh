@@ -19,7 +19,9 @@
 #  5. shard rerun   - both shards re-run with --seed 43 on their seed-42
 #                     journals merge to the fresh --seed 43 JSON and CSV,
 #                     and merging a re-run shard with a stale one fails and
-#                     names the stale journal;
+#                     names the stale journal, as does merging a shard whose
+#                     re-run of an edited spec died right after rebinding
+#                     its journal;
 #  6. cost-from     - a --timing journal plans --shard 1/2 and 2/2 with
 #                     --cost-from; their merge reproduces the single-machine
 #                     JSON and CSV.
@@ -157,7 +159,24 @@ fi
          --out "$WORK/merged-43.json" --csv "$WORK/merged-43.csv"
 cmp "$WORK/seed43.json" "$WORK/merged-43.json"
 cmp "$WORK/seed43.csv" "$WORK/merged-43.csv"
-echo "OK: re-run shards merge to the fresh seed-43 bytes; a stale one is named"
+# A re-run of an edited spec (same seeds) that fails at once: the journal's
+# header now names the edited spec while its records hold the old cells.
+RC=0
+"$SWEEP" "${ARGS[@]}" --seed 43 --accesses 2100 --jobs 2 --shard 2/2 \
+         --journal "$WORK/s2.journal" --failpoints 'cell.job=err@0:0' \
+         2> /dev/null || RC=$?
+[ "$RC" -eq 1 ] || { echo "FAIL: the failing re-run exited $RC, want 1"; exit 1; }
+RC=0
+"$SWEEP" "${ARGS[@]}" --seed 43 --accesses 2100 --merge "$WORK/s2.journal" \
+         --merge "$WORK/s1.journal" --out "$WORK/rebound.json" \
+         2> "$WORK/rebound.log" || RC=$?
+if [ "$RC" -eq 0 ] || ! grep -q "s2.journal.*stale record" "$WORK/rebound.log" \
+        || [ -e "$WORK/rebound.json" ]; then
+    echo "FAIL: merging a shard with stale records exited $RC:"
+    cat "$WORK/rebound.log"
+    exit 1
+fi
+echo "OK: re-run shards merge to the fresh seed-43 bytes; stale ones are named"
 
 echo "== 6/6 --cost-from plans the shards; the merge is unchanged =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --timing --journal "$WORK/timing.journal" \

@@ -23,14 +23,13 @@ void FrameAllocator::set_node_capacity(std::uint64_t frames) {
 
 std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
   NodePool& p = pools_.at(node);
-  if (p.live >= p.capacity) return std::nullopt;
-  ++p.live;
+  if (p.allocated >= p.capacity) return std::nullopt;
   // Frames are handed out in a scrambled (but deterministic, bijective)
   // order within the node, modelling the fragmented free lists of a
   // long-running OS.  Contiguous virtual regions therefore map onto
   // scattered physical frames, which is what exposes realistic
   // set-conflict behaviour in the set-associative probe filter.
-  const std::uint64_t index = p.next_fresh++;
+  const std::uint64_t index = p.allocated++;
   std::uint64_t scrambled = index;
   if ((frames_per_node_ & (frames_per_node_ - 1)) == 0) {
     // Bijective mix on log2(frames_per_node_) bits.  Multiplication alone
@@ -54,7 +53,7 @@ std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
 
 std::uint64_t FrameAllocator::free_frames(NodeId node) const {
   const NodePool& p = pools_.at(node);
-  return p.capacity - p.live;
+  return p.capacity - p.allocated;
 }
 
 // ------------------------------------------------------------------ Os ----

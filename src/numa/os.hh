@@ -49,9 +49,8 @@ class FrameAllocator {
 
  private:
   struct NodePool {
-    std::uint64_t next_fresh = 0;      ///< Bump pointer within the node range.
-    std::uint64_t capacity = 0;        ///< Usable frames.
-    std::uint64_t live = 0;            ///< Currently allocated frames.
+    std::uint64_t capacity = 0;   ///< Usable frames.
+    std::uint64_t allocated = 0;  ///< Frames handed out; the next one's index.
   };
 
   std::uint64_t frames_per_node_;

@@ -5,8 +5,9 @@
 //   <path>        64-byte header + append-only 40-byte records, one per
 //                 finished job.  Every record carries a CRC32C of itself
 //                 and of its payload; the header stamps the sweep's spec
-//                 hash, full-grid job count, base seed and shard, so a
-//                 journal can never silently merge into the wrong sweep.
+//                 hash, full-grid job count, base seed and shard, and each
+//                 result payload its cell's identity hash, so a journal
+//                 can never silently merge into the wrong sweep.
 //   <path>.data   concatenated payload blobs: one serialized RunResult
 //                 (or, for quarantined jobs, FailureRecord) per record,
 //                 addressed by (offset, size) from the record.

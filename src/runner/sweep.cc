@@ -498,6 +498,12 @@ JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
     source.journal.emplace(Journal::create(path, meta));
     return source;
   }
+  if (!spec.capture_dir.empty()) {
+    throw std::invalid_argument(
+        "capture needs a full fresh run; journal " + path +
+        " exists and would resume (its resumed jobs never execute, so their "
+        "traces would be missing)");
+  }
   // Resume: the journal is rebound to this spec's identity, and a record
   // stands in for its job only while the job's definition is unchanged.
   // Stale ones (failure, edited cell, changed seed, unreadable payload) are
@@ -820,6 +826,25 @@ StreamStats merge_journals(const SweepSpec& spec,
             " was journaled with seed " + std::to_string(record->seed) +
             " but the spec derives " + std::to_string(seed) +
             " — seed derivation mismatch, refusing to merge");
+      }
+      // A result merges only under the stamp resume would accept.  A rerun
+      // rebinds the header before it re-runs the stale cells, so a rerun
+      // that died leaves the old cells' results under the new spec hash
+      // (and a record journaled before stamping carries 0).  A quarantine
+      // record carries no stamp; it folds as a failed job, which the
+      // report flags and a resume re-runs.
+      if (!record->failed) {
+        const std::uint64_t cell = record->job_index / spec.replicates;
+        std::uint64_t stamped = 0;
+        journal.read_payload(*record, &stamped);
+        if (stamped != cell_hash(spec, cell)) {
+          throw std::runtime_error(
+              "journal " + path + ": job " + std::to_string(record->job_index) +
+              " holds a result of another definition of cell " +
+              std::to_string(cell) +
+              " — stale record, refusing to merge (resume the journal to "
+              "re-run it)");
+        }
       }
       auto& slot = where[record->job_index];
       if (slot) {

@@ -71,7 +71,10 @@ struct SweepSpec {
 
   /// When non-empty, every job additionally captures its executed access
   /// stream to `<capture_dir>/job-<grid-index>.altr`.  Pure side effect:
-  /// results and reports are unchanged (not folded into spec_hash).
+  /// results and reports are unchanged (not folded into spec_hash).  A
+  /// capture run needs a fresh journal: run_streaming throws
+  /// std::invalid_argument on an existing one, whose resumed jobs would
+  /// never execute and so never capture.
   std::string capture_dir;
   /// When non-empty, every job replays `<replay_dir>/job-<grid-index>.altr`
   /// instead of its synthetic workload.  With traces captured from the
@@ -378,7 +381,8 @@ class SweepRunner {
 
 /// Folds the partial journals of a sharded sweep (any order) into `sink`,
 /// producing byte-identical output to a single-machine run of `spec`.
-/// Every journal must carry the spec's hash; together they must cover
+/// Every journal must carry the spec's hash, and every result record the
+/// seed and cell hash a resume would accept; together they must cover
 /// every job exactly once.  Returns stats with jobs_resumed = job count.
 StreamStats merge_journals(const SweepSpec& spec,
                            const std::vector<std::string>& journal_paths,

@@ -947,6 +947,84 @@ TEST(Streaming, MergeRejectsOverlapAndIncompleteCoverage) {
   remove_journal(j1);
 }
 
+/// Journals a full run of `original` at `path`, then starts a rerun of
+/// `changed` on it that fails at job 0, right after the open rebound the
+/// header to `changed`: every record still holds a result of `original`.
+void rebind_then_die(const runner::SweepSpec& original,
+                     const runner::SweepSpec& changed,
+                     const std::string& path) {
+  remove_journal(path);
+  runner::StreamOptions options;
+  options.journal_path = path;
+  stream_json(original, 1, options);
+  {
+    failpoint::Scoped guard("cell.job=err@0");
+    EXPECT_THROW(stream_json(changed, 1, options), std::runtime_error);
+  }
+  ASSERT_EQ(runner::Journal::open_read(path).meta().spec_hash,
+            runner::spec_hash(changed));
+}
+
+/// Expects merge_journals(spec, {path}) to refuse, naming the journal and
+/// saying `why`.
+void expect_merge_refused(const runner::SweepSpec& spec,
+                          const std::string& path, const std::string& why) {
+  std::ostringstream out;
+  runner::JsonStreamSink sink(out);
+  try {
+    runner::merge_journals(spec, {path}, sink);
+    FAIL() << "merge folded the records of another sweep";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  EXPECT_TRUE(out.str().empty()) << "merge emitted before refusing";
+}
+
+TEST(Streaming, MergeRefusesTheStaleCellsOfAnInterruptedRerun) {
+  const auto spec = tiny_spec();
+  auto edited = spec;  // Same seeds, so only the cell stamps differ.
+  edited.accesses_per_thread += 100;
+  const std::string path = temp_path("journal");
+  rebind_then_die(spec, edited, path);
+  expect_merge_refused(edited, path, "stale record");
+
+  // Finishing the rerun supersedes every stale record; then it merges.
+  runner::StreamOptions options;
+  options.journal_path = path;
+  const std::string reference = stream_json(edited, 2);
+  EXPECT_EQ(stream_json(edited, 2, options), reference);
+  std::ostringstream merged;
+  runner::JsonStreamSink sink(merged);
+  runner::merge_journals(edited, {path}, sink);
+  EXPECT_EQ(merged.str(), reference);
+  remove_journal(path);
+}
+
+TEST(Streaming, MergeRefusesTheMisSeededRecordsOfAnInterruptedRerun) {
+  const auto spec = tiny_spec();
+  auto reseeded = spec;
+  reseeded.base_seed += 1;
+  const std::string path = temp_path("journal");
+  rebind_then_die(spec, reseeded, path);
+  expect_merge_refused(reseeded, path, "seed derivation mismatch");
+  remove_journal(path);
+}
+
+TEST(Streaming, CaptureOnAnExistingJournalIsRefused) {
+  // Resumed jobs never execute, so they could never capture their traces.
+  auto spec = tiny_spec();
+  const std::string path = temp_path("journal");
+  remove_journal(path);
+  runner::StreamOptions options;
+  options.journal_path = path;
+  stream_json(spec, 2, options);
+  spec.capture_dir = temp_path("traces");
+  EXPECT_THROW(stream_json(spec, 2, options), std::invalid_argument);
+  remove_journal(path);
+}
+
 TEST(Streaming, IdenticalRerunOnAnExistingJournalResumesEverything) {
   const auto spec = tiny_spec();
   const std::string path = temp_path("journal");
