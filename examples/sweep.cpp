@@ -84,9 +84,6 @@
 // Exit codes: 0 success, 1 error, 2 usage (a flag, or a request the library
 // refuses as given), 3 degraded completion (the sweep finished but
 // quarantined at least one job; see docs/ROBUSTNESS.md).
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,7 +96,6 @@
 
 #include "cli.hh"
 #include "common/failpoint.hh"
-#include "common/fileio.hh"
 #include "obs/timeline.hh"
 #include "runner/grids.hh"
 #include "runner/report.hh"
@@ -160,14 +156,6 @@ void list_grids() {
   for (const runner::GridInfo& grid : runner::grid_catalog()) {
     std::cout << std::left << std::setw(10) << grid.name << grid.description
               << "\n";
-  }
-}
-
-/// mkdir for --capture; an existing directory is fine (rerun into it).
-void ensure_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw std::runtime_error("cannot create directory " + path + ": " +
-                             std::strerror(errno));
   }
 }
 
@@ -368,7 +356,6 @@ int main(int argc, char** argv) try {
   if (!failpoints.empty()) {
     std::cerr << "failpoints active: " << failpoints << "\n";
   }
-  if (!options.capture_dir.empty()) ensure_directory(options.capture_dir);
   const runner::SweepSpec spec = make_grid(options);
 
   runner::ReportFiles reports(options.out, options.csv, options.timing,

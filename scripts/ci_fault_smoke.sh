@@ -20,7 +20,12 @@
 #                      bytes and exit 0;
 #  5. watchdog       - an absurdly small --cell-timeout quarantines every
 #                      job with a no-progress diagnostic; a generous one
-#                      changes nothing, not one byte.
+#                      changes nothing, not one byte;
+#  6. delay          - delay rules at journal.append, journal.fsync,
+#                      sink.write and journal.read_payload sleep and
+#                      proceed: the journaled sweep reproduces the
+#                      reference bytes, and its rerun under a delayed
+#                      payload read resumes every job and runs none.
 #
 # Usage: scripts/ci_fault_smoke.sh [path-to-sweep-binary]
 set -euo pipefail
@@ -32,11 +37,11 @@ trap 'rm -rf "$WORK"' EXIT
 # --jobs 1 keeps counter-based failpoint ordinals deterministic.
 ARGS=(--grid quick --seeds 2 --accesses 300 --seed 42 --jobs 1)
 
-echo "== 1/5 baseline =="
+echo "== 1/6 baseline =="
 "$SWEEP" "${ARGS[@]}" --out "$WORK/full.json" --csv "$WORK/full.csv"
 echo "OK: baseline written"
 
-echo "== 2/5 injected faults: absorb byte-identically or resume to reference =="
+echo "== 2/6 injected faults: absorb byte-identically or resume to reference =="
 FAULTS=(
     "journal.fsync=err@1"
     "journal.append=err@5"
@@ -71,7 +76,7 @@ for FAULT in "${FAULTS[@]}"; do
     fi
 done
 
-echo "== 3/5 --cell-retries heals a transient fault in place =="
+echo "== 3/6 --cell-retries heals a transient fault in place =="
 "$SWEEP" "${ARGS[@]}" --out "$WORK/retry.json" \
     --failpoints "cell.attempt=err@3" --cell-retries 2 --cell-backoff-ms 0 \
     2> "$WORK/retry.log"
@@ -79,7 +84,7 @@ grep -q "1 retries" "$WORK/retry.log"
 cmp "$WORK/full.json" "$WORK/retry.json"
 echo "OK: transient fault retried away, byte-identical"
 
-echo "== 4/5 --quarantine: degraded completion (exit 3) then resume to clean =="
+echo "== 4/6 --quarantine: degraded completion (exit 3) then resume to clean =="
 RC=0
 "$SWEEP" "${ARGS[@]}" --journal "$WORK/q.journal" --out "$WORK/q.json" \
     --failpoints "cell.job=err@2" --quarantine 2> "$WORK/q.log" || RC=$?
@@ -95,7 +100,7 @@ grep -q "DEGRADED" "$WORK/q.log"
 cmp "$WORK/full.json" "$WORK/q-resumed.json"
 echo "OK: quarantine exit 3 with structured failed section; resume is clean"
 
-echo "== 5/5 cell watchdog: tiny timeout quarantines, generous one is a no-op =="
+echo "== 5/6 cell watchdog: tiny timeout quarantines, generous one is a no-op =="
 RC=0
 "$SWEEP" "${ARGS[@]}" --out "$WORK/wd.json" \
     --cell-timeout 0.000001 --quarantine 2> "$WORK/wd.log" || RC=$?
@@ -107,5 +112,23 @@ grep -q "no-progress watchdog" "$WORK/wd.json"
 "$SWEEP" "${ARGS[@]}" --out "$WORK/wd-off.json" --cell-timeout 60
 cmp "$WORK/full.json" "$WORK/wd-off.json"
 echo "OK: watchdog fires on a tiny deadline and perturbs nothing otherwise"
+
+echo "== 6/6 delay rules sleep and proceed at every whole-operation site =="
+DELAYS="journal.append=delay.5@1;journal.fsync=delay.5@1;sink.write=delay.5@1"
+DELAYS="$DELAYS;journal.read_payload=delay.5@1"
+rm -f "$WORK/delay.journal" "$WORK/delay.journal.data"
+"$SWEEP" "${ARGS[@]}" --journal "$WORK/delay.journal" --out "$WORK/delay.json" \
+    --failpoints "$DELAYS"
+cmp "$WORK/full.json" "$WORK/delay.json"
+"$SWEEP" "${ARGS[@]}" --journal "$WORK/delay.journal" \
+    --out "$WORK/delay-rerun.json" \
+    --failpoints "journal.read_payload=delay.5@1" 2> "$WORK/delay.log"
+grep -q ": 0 jobs run," "$WORK/delay.log" || {
+    echo "FAIL: a delayed payload read re-ran a job:"
+    cat "$WORK/delay.log"
+    exit 1
+}
+cmp "$WORK/full.json" "$WORK/delay-rerun.json"
+echo "OK: delay rules proceed, bytes identical, the rerun resumed every job"
 
 echo "fault smoke: all checks passed"

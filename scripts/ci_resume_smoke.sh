@@ -10,9 +10,9 @@
 #                     uninterrupted run (and must actually have resumed
 #                     jobs from the journal, not recomputed everything);
 #  3. rerun         - an identical rerun on the finished journal runs no job
-#                     and resumes every one, --capture on it exits 2, and a
-#                     --seed 43 rerun on the seed-42 journal matches a
-#                     fresh --seed 43 run;
+#                     and resumes every one, --capture on it exits 2 and
+#                     creates no capture directory, and a --seed 43 rerun
+#                     on the seed-42 journal matches a fresh --seed 43 run;
 #  4. shard/merge   - --shard 1/2 and --shard 2/2 partial runs, folded with
 #                     --merge, must reproduce the single-machine bytes for
 #                     both the JSON and the CSV report;
@@ -114,8 +114,9 @@ RC=0
 "$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" \
          --capture "$WORK/traces" --out "$WORK/capture.json" 2> /dev/null \
     || RC=$?
-if [ "$RC" -ne 2 ] || [ -e "$WORK/capture.json" ]; then
-    echo "FAIL: --capture on an existing journal exited $RC, want 2"
+if [ "$RC" -ne 2 ] || [ -e "$WORK/capture.json" ] || [ -e "$WORK/traces" ]; then
+    echo "FAIL: --capture on an existing journal exited $RC, want 2 with no"
+    echo "      report and no capture directory"
     exit 1
 fi
 "$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --out "$WORK/seed43.json" \

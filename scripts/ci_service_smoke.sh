@@ -18,7 +18,11 @@
 #  5. reject         - a malformed request is rejected with its reason
 #                      recorded and the service exits 3 (degraded);
 #  6. failpoint      - an injected queue-scan fault heals on the next
-#                      poll without losing the request.
+#                      poll without losing the request;
+#  7. corrupt state   - a request whose state word is garbage is skipped
+#                      and named in health.json's last_error; a queued
+#                      request beside it still completes byte-identically
+#                      and the service exits 3 (degraded).
 #
 # Usage: scripts/ci_service_smoke.sh [path-to-allarm_serve] [path-to-sweep]
 set -euo pipefail
@@ -31,14 +35,14 @@ trap 'rm -rf "$WORK"' EXIT
 REQ_A='{"grid": "quick", "seeds": 2, "seed": 42, "accesses": 400, "csv": true}'
 REQ_B='{"grid": "quick", "seeds": 2, "seed": 43, "accesses": 400}'
 
-echo "== 1/6 baseline (direct CLI sweeps) =="
+echo "== 1/7 baseline (direct CLI sweeps) =="
 "$SWEEP" --grid quick --seeds 2 --seed 42 --accesses 400 \
     --out "$WORK/ref-a.json" --csv "$WORK/ref-a.csv"
 "$SWEEP" --grid quick --seeds 2 --seed 43 --accesses 400 \
     --out "$WORK/ref-b.json"
 echo "OK: references written"
 
-echo "== 2/6 batch: enqueue two requests, run to idle =="
+echo "== 2/7 batch: enqueue two requests, run to idle =="
 SPOOL="$WORK/spool-batch"
 printf '%s' "$REQ_A" > "$WORK/req-a.json"
 printf '%s' "$REQ_B" > "$WORK/req-b.json"
@@ -56,7 +60,7 @@ grep -q '"done":2' "$SPOOL/health.json" \
     || { echo "FAIL: health.json missing done count"; cat "$SPOOL/health.json"; exit 1; }
 echo "OK: both requests done, reports byte-identical to the CLI"
 
-echo "== 3/6 SIGKILL mid-sweep, restart resumes through the journal =="
+echo "== 3/7 SIGKILL mid-sweep, restart resumes through the journal =="
 SPOOL="$WORK/spool-kill"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as victim
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 2> "$WORK/kill.log" &
@@ -75,7 +79,7 @@ esac
 cmp "$SPOOL/requests/victim/report.json" "$WORK/ref-a.json"
 echo "OK: killed at '$STATE', recovered byte-identical"
 
-echo "== 4/6 SIGTERM drains gracefully and the next start completes =="
+echo "== 4/7 SIGTERM drains gracefully and the next start completes =="
 SPOOL="$WORK/spool-drain"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as sleeper
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 --drain-ms 60000 \
@@ -95,7 +99,7 @@ ls "$SPOOL/requests/sleeper"/.tmp-* 2>/dev/null \
 cmp "$SPOOL/requests/sleeper/report.json" "$WORK/ref-a.json"
 echo "OK: drained with exit 0 at state '$STATE', completed byte-identical"
 
-echo "== 5/6 malformed request is rejected with its reason =="
+echo "== 5/7 malformed request is rejected with its reason =="
 SPOOL="$WORK/spool-reject"
 mkdir -p "$SPOOL/queue"
 printf '{"grid": "quick", "seedz": 2}' > "$SPOOL/queue/typo.json"
@@ -108,7 +112,7 @@ grep -q "seedz" "$SPOOL/requests/typo/error" \
     || { echo "FAIL: reject reason not recorded"; exit 1; }
 echo "OK: rejected with recorded reason, exit 3"
 
-echo "== 6/6 injected queue-scan fault heals on the next poll =="
+echo "== 6/7 injected queue-scan fault heals on the next poll =="
 SPOOL="$WORK/spool-fault"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-b.json" --as survivor
 "$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 50 \
@@ -119,5 +123,23 @@ grep -q "failpoint service.scan" "$WORK/fault.log" \
     || { echo "FAIL: the scan fault never fired"; exit 1; }
 cmp "$SPOOL/requests/survivor/report.json" "$WORK/ref-b.json"
 echo "OK: scan fault absorbed, request completed byte-identical"
+
+echo "== 7/7 a garbage state word is skipped, named, and degrades the exit =="
+SPOOL="$WORK/spool-corrupt"
+mkdir -p "$SPOOL/requests/broken"
+printf '%s' "$REQ_B" > "$SPOOL/requests/broken/request.json"
+printf 'garbage\n' > "$SPOOL/requests/broken/state"
+"$SERVE" --root "$SPOOL" --enqueue "$WORK/req-b.json" --as healthy
+RC=0
+"$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 50 \
+    2> "$WORK/corrupt.log" || RC=$?
+[ "$RC" -eq 3 ] || {
+    echo "FAIL: expected degraded exit 3, got $RC"; cat "$WORK/corrupt.log"; exit 1; }
+[ "$(cat "$SPOOL/requests/healthy/state")" = "done" ] \
+    || { echo "FAIL: healthy request not done"; exit 1; }
+cmp "$SPOOL/requests/healthy/report.json" "$WORK/ref-b.json"
+grep -q '"last_error":"broken: ' "$SPOOL/health.json" \
+    || { echo "FAIL: last_error does not name broken"; cat "$SPOOL/health.json"; exit 1; }
+echo "OK: corrupt state skipped and named, neighbour completed byte-identical"
 
 echo "ALL SERVICE SMOKES PASSED"

@@ -1,8 +1,10 @@
 #include "common/failpoint.hh"
 
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -123,6 +125,15 @@ Hit detail::check_indexed_slow(const char* name, std::uint64_t ordinal) {
     if (rule.fires(ordinal)) return Hit{rule.action, rule.arg};
   }
   return Hit{};
+}
+
+void act(const Hit& hit, const char* name, const std::string& where) {
+  if (hit.action == Action::kDelay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
+    return;
+  }
+  throw std::runtime_error(where + ": injected fault (failpoint " +
+                           std::string(name) + ")");
 }
 
 void configure(const std::string& spec) {

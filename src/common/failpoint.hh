@@ -21,7 +21,8 @@
 //           torn   write a prefix, then fail (arg = bytes; default half)
 //           eintr  deliver arg simulated EINTRs first (default 16), then
 //                  proceed — exercises retry loops, never fails
-//           delay  sleep arg milliseconds (default 10), then proceed
+//           delay  sleep arg milliseconds (default 10), then proceed;
+//                  every site honours it
 //   at      1-based poll ordinal at which the rule starts firing
 //   count   how many consecutive ordinals fire (default 1; 0 = every
 //           ordinal >= at)
@@ -79,6 +80,19 @@ inline Hit check(const char* name) {
 inline Hit check_indexed(const char* name, std::uint64_t ordinal) {
   if (!detail::g_active.load(std::memory_order_relaxed)) return Hit{};
   return detail::check_indexed_slow(name, ordinal);
+}
+
+/// The one interpreter of a hit at a whole-operation site (one that cannot
+/// shorten, tear or interrupt its I/O): kDelay sleeps `arg` ms and
+/// returns; any other action throws std::runtime_error
+/// "<where>: injected fault (failpoint <name>)".
+void act(const Hit& hit, const char* name, const std::string& where);
+
+/// Polls whole-operation site `name` and acts on a hit; `where()` runs
+/// only on a hit, so the inactive poll allocates nothing.
+template <typename Where>
+void inject(const char* name, Where&& where) {
+  if (const Hit hit = check(name)) act(hit, name, where());
 }
 
 /// Installs `spec` (replacing any active schedule).  An empty spec

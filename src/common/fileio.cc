@@ -4,11 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/failpoint.hh"
@@ -31,37 +31,23 @@ std::string io_context(const char* op, std::size_t size,
          " bytes at offset " + std::to_string(offset);
 }
 
-[[noreturn]] void injected(const std::string& path, const char* site,
-                           const std::string& what) {
-  throw std::runtime_error(path + ": " + what + ": injected fault (failpoint " +
-                           site + ")");
-}
-
-/// Applies one failpoint hit at an I/O site.  kError throws; kDelay sleeps
-/// and falls through; the caller interprets kShortIo/kTornWrite/
-/// kEintrStorm (returned unchanged).  Actions a site cannot express
-/// degrade to kError — a schedule never silently misses.
+/// A hit at a positional I/O site: kError and kDelay act as at every
+/// whole-operation site; kShortIo/kTornWrite/kEintrStorm return to the
+/// caller.
 failpoint::Hit apply_common(const failpoint::Hit& hit, const std::string& path,
                             const char* site, const std::string& what) {
-  if (!hit) return hit;
-  switch (hit.action) {
-    case failpoint::Action::kError:
-      injected(path, site, what);
-    case failpoint::Action::kDelay:
-      std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-      return failpoint::Hit{};
-    default:
-      return hit;
+  if (hit.action != failpoint::Action::kError &&
+      hit.action != failpoint::Action::kDelay) {
+    return hit;
   }
+  failpoint::act(hit, site, path + ": " + what);
+  return failpoint::Hit{};
 }
 
 }  // namespace
 
 File::File(const std::string& path, Mode mode) : path_(path) {
-  if (const auto hit = failpoint::check("fileio.open")) {
-    apply_common(hit, path_, "fileio.open", "open");
-    injected(path_, "fileio.open", "open");  // short/torn/eintr degrade.
-  }
+  failpoint::inject("fileio.open", [&] { return path_ + ": open"; });
   int flags = 0;
   switch (mode) {
     case Mode::kRead:
@@ -161,7 +147,6 @@ std::size_t File::read_at_most(std::uint64_t offset, void* data,
 void File::write_at(std::uint64_t offset, const void* data, std::size_t size) {
   std::size_t want = size;
   bool fail_after_prefix = false;
-  const char* site_label = "fileio.pwrite";
   std::uint64_t eintr_storm = 0;
   auto hit = failpoint::check("fileio.pwrite");
   if (hit) {
@@ -197,27 +182,21 @@ void File::write_at(std::uint64_t offset, const void* data, std::size_t size) {
     total += static_cast<std::size_t>(n);
   }
   if (fail_after_prefix) {
-    injected(path_, site_label,
-             io_context("pwrite", size, offset) + ": wrote only " +
-                 std::to_string(total) + " bytes");
+    throw std::runtime_error(path_ + ": " + io_context("pwrite", size, offset) +
+                             ": wrote only " + std::to_string(total) +
+                             " bytes: injected fault (failpoint fileio.pwrite)");
   }
 }
 
 void File::truncate(std::uint64_t size) {
-  if (const auto hit = failpoint::check("fileio.ftruncate")) {
-    apply_common(hit, path_, "fileio.ftruncate", "ftruncate");
-    injected(path_, "fileio.ftruncate", "ftruncate");
-  }
+  failpoint::inject("fileio.ftruncate", [&] { return path_ + ": ftruncate"; });
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     fail(path_, "ftruncate to " + std::to_string(size) + " bytes");
   }
 }
 
 void File::sync() {
-  if (const auto hit = failpoint::check("fileio.fsync")) {
-    apply_common(hit, path_, "fileio.fsync", "fsync");
-    injected(path_, "fileio.fsync", "fsync");
-  }
+  failpoint::inject("fileio.fsync", [&] { return path_ + ": fsync"; });
   if (::fsync(fd_) != 0) fail(path_, "fsync");
 }
 
@@ -244,9 +223,7 @@ std::string read_file(const std::string& path) {
 }
 
 void sync_directory(const std::string& path) {
-  if (const auto hit = failpoint::check("fileio.fsync")) {
-    apply_common(hit, path, "fileio.fsync", "fsync");
-  }
+  failpoint::inject("fileio.fsync", [&] { return path + ": fsync"; });
   const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) fail(path, "open directory for fsync");
   if (::fsync(fd) != 0) {
@@ -256,6 +233,23 @@ void sync_directory(const std::string& path) {
     fail(path, "fsync directory");
   }
   ::close(fd);
+}
+
+bool exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+void ensure_dir(const std::string& path) {
+  if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) fail(path, "mkdir");
+}
+
+void rename_durable(const std::string& from, const std::string& to) {
+  if (std::rename(from.c_str(), to.c_str()) != 0) fail(from, "rename to " + to);
+  const std::size_t slash = to.rfind('/');
+  sync_directory(slash == std::string::npos
+                     ? "."
+                     : to.substr(0, std::max<std::size_t>(slash, 1)));
 }
 
 }  // namespace allarm

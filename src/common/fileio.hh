@@ -76,8 +76,16 @@ std::string read_file(const std::string& path);
 
 /// fsyncs a DIRECTORY so a just-renamed or just-created entry inside it
 /// survives power loss (a file's own fsync does not make its name
-/// durable).  The rename-into-place idiom (spool enqueue, state files) is
-/// only crash-atomic with this barrier after it.  Throws on failure.
+/// durable).  Throws on failure.
 void sync_directory(const std::string& path);
+
+/// The commit of every write-temp-then-rename in the repo: renames a
+/// durable `from` over `to`, then fsyncs `to`'s directory.  Throws.
+void rename_durable(const std::string& from, const std::string& to);
+
+bool exists(const std::string& path);
+
+/// mkdir `path` (one level); an existing directory is fine.  Throws.
+void ensure_dir(const std::string& path);
 
 }  // namespace allarm

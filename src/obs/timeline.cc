@@ -151,14 +151,6 @@ std::uint64_t Timeline::dropped() {
 }
 
 bool Timeline::write(const std::string& path) {
-  const failpoint::Hit hit = failpoint::check("obs.timeline");
-  if (hit && hit.action != failpoint::Action::kDelay) {
-    log_error("timeline write failed: ", path,
-              ": injected fault (failpoint obs.timeline); "
-              "the run's results are unaffected");
-    return false;
-  }
-
   // Snapshot the registry, then serialize outside the lock (recording
   // threads only ever append; the acquire-load below bounds what we read).
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
@@ -213,13 +205,9 @@ bool Timeline::write(const std::string& path) {
 
   const std::string tmp = path + ".tmp";
   try {
+    failpoint::inject("obs.timeline", [&] { return path; });
     write_file_durable(tmp, out);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      log_error("timeline write failed: rename ", tmp, " -> ", path,
-                "; the run's results are unaffected");
-      return false;
-    }
+    rename_durable(tmp, path);
   } catch (const std::exception& e) {
     std::remove(tmp.c_str());
     log_error("timeline write failed: ", e.what(),

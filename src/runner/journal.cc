@@ -1,8 +1,5 @@
 #include "runner/journal.hh"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -343,13 +340,7 @@ Journal Journal::create(const std::string& path, const JournalMeta& meta) {
   const std::string tmp = path + ".tmp";
   write_file_durable(
       tmp, std::string(reinterpret_cast<const char*>(&header), sizeof(header)));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    bad_journal(path, "rename from " + tmp + ": " + std::strerror(errno));
-  }
-  const std::size_t slash = path.rfind('/');
-  sync_directory(slash == std::string::npos
-                     ? "."
-                     : path.substr(0, std::max<std::size_t>(slash, 1)));
+  rename_durable(tmp, path);
   j.journal_ = File(path, File::Mode::kReadWrite);
 
   j.index_.meta = meta;
@@ -412,11 +403,10 @@ void Journal::append_record(std::uint64_t job_index, std::uint64_t seed,
   if (!writable_) {
     throw std::logic_error("journal " + journal_.path() + " is read-only");
   }
-  if (failpoint::check("journal.append")) {
-    throw std::runtime_error("journal " + journal_.path() +
-                             ": append of job " + std::to_string(job_index) +
-                             ": injected fault (failpoint journal.append)");
-  }
+  failpoint::inject("journal.append", [&] {
+    return "journal " + journal_.path() + ": append of job " +
+           std::to_string(job_index);
+  });
 
   RawRecord record;
   record.job_index = job_index;
@@ -461,11 +451,10 @@ void Journal::append_failed(std::uint64_t job_index, std::uint64_t seed,
 }
 
 std::string Journal::verified_payload(const JournalEntry& entry) const {
-  if (failpoint::check("journal.read_payload")) {
-    bad_journal(journal_.path(),
-                "payload read for job " + std::to_string(entry.job_index) +
-                    ": injected fault (failpoint journal.read_payload)");
-  }
+  failpoint::inject("journal.read_payload", [&] {
+    return "journal " + journal_.path() + ": payload read for job " +
+           std::to_string(entry.job_index);
+  });
   std::string payload(entry.payload_size, '\0');
   data_.read_at(entry.payload_offset, payload.data(), payload.size());
   if (crc32c(payload) != entry.payload_crc) {
@@ -500,11 +489,8 @@ FailureRecord Journal::read_failure(const JournalEntry& entry) const {
 void Journal::sync() {
   if (!writable_ || unsynced_appends_ == 0) return;
   OBS_SPAN("journal.fsync", "journal");
-  if (failpoint::check("journal.fsync")) {
-    throw std::runtime_error("journal " + journal_.path() +
-                             ": sync: injected fault (failpoint "
-                             "journal.fsync)");
-  }
+  failpoint::inject("journal.fsync",
+                    [&] { return "journal " + journal_.path() + ": sync"; });
   data_.sync();     // Payloads reach the disk before the records that
   journal_.sync();  // reference them.
   unsynced_appends_ = 0;

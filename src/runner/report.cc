@@ -31,16 +31,6 @@ void append_summary_csv(std::ostream& out, const Summary& s) {
                            " (stream went bad; disk full or closed?)");
 }
 
-/// Per-cell failpoint shared by both writers: exercises the callers'
-/// mid-report error paths (a half-written report followed by a nonzero
-/// exit, never a silently truncated "success").
-void check_sink_failpoint(const std::string& label) {
-  if (failpoint::check("sink.write")) {
-    throw std::runtime_error("failed writing " + label +
-                             ": injected fault (failpoint sink.write)");
-  }
-}
-
 /// Streams one sweep result through `sink` (begin / cells / end).  The
 /// per-cell copies omit the raw `runs` — they dominate the cell footprint
 /// and the report writers this feeds never serialize them.
@@ -79,7 +69,9 @@ void JsonStreamSink::begin(const SweepMeta& meta) {
 }
 
 void JsonStreamSink::cell(CellResult&& cell) {
-  check_sink_failpoint(label_);
+  // Exercises the callers' mid-report error paths: a half-written report
+  // followed by a nonzero exit, never a silently truncated "success".
+  failpoint::inject("sink.write", [&] { return "failed writing " + label_; });
   if (any_cell_) out_ << ",\n";
   any_cell_ = true;
   out_ << "    {\n";
@@ -172,7 +164,7 @@ void CsvStreamSink::begin(const SweepMeta& meta) {
 }
 
 void CsvStreamSink::cell(CellResult&& cell) {
-  check_sink_failpoint(label_);
+  failpoint::inject("sink.write", [&] { return "failed writing " + label_; });
   const std::string prefix = sweep_name_ + "," + cell.workload + "," +
                              cell.config_label + "," + to_string(cell.mode) +
                              ",";
@@ -243,9 +235,7 @@ void close_and_rename(std::ofstream& file, const std::string& path) {
     tmp.sync();
     tmp.close();
   }
-  if (std::rename((path + ".tmp").c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("failed renaming " + path + ".tmp into place");
-  }
+  rename_durable(path + ".tmp", path);
 }
 
 }  // namespace

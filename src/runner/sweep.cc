@@ -11,10 +11,9 @@
 #include <thread>
 #include <utility>
 
-#include <sys/stat.h>
-
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
+#include "common/fileio.hh"
 #include "common/rng.hh"
 #include "obs/timeline.hh"
 #include "runner/journal.hh"
@@ -25,11 +24,6 @@
 namespace allarm::runner {
 
 namespace {
-
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 void validate_axes(const SweepSpec& spec) {
   if (spec.workloads.empty() || spec.configs.empty() || spec.modes.empty() ||
@@ -490,12 +484,13 @@ JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
     }
   }
   source.done.resize(source.jobs.size());
-  if (path.empty()) return source;
-
   const JournalMeta meta{spec_hash(spec), source.jobs.size(), spec.base_seed,
                          options.shard.index, options.shard.count};
-  if (!file_exists(path)) {
-    source.journal.emplace(Journal::create(path, meta));
+  if (path.empty() || !exists(path)) {
+    // A fresh run: the only kind that executes every job, so the only one
+    // whose capture directory is created.
+    if (!path.empty()) source.journal.emplace(Journal::create(path, meta));
+    if (!spec.capture_dir.empty()) ensure_dir(spec.capture_dir);
     return source;
   }
   if (!spec.capture_dir.empty()) {
@@ -536,19 +531,6 @@ JobSource open_source(const SweepSpec& spec, const StreamOptions& options) {
   return source;
 }
 
-/// Applies a hit of a per-job failpoint: kDelay sleeps, anything else
-/// fails the attempt.
-void apply_job_fault(const failpoint::Hit& hit, const char* site,
-                     std::uint64_t job_index) {
-  if (!hit) return;
-  if (hit.action == failpoint::Action::kDelay) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-    return;
-  }
-  throw std::runtime_error("job " + std::to_string(job_index) +
-                           ": injected fault (failpoint " + site + ")");
-}
-
 /// Stage 2, the attempt executor: runs one job to its outcome, retrying a
 /// throwing attempt up to `cell_retries` times with bounded exponential
 /// backoff under the per-job watchdog.  Retries are safe to the byte —
@@ -569,10 +551,11 @@ JobOutcome execute_job(const Job& job, std::uint64_t job_index,
         std::this_thread::sleep_for(std::chrono::milliseconds(retry_backoff_ms(
             options.retry_backoff_ms, attempt - 1, job_index)));
       }
-      apply_job_fault(failpoint::check_indexed("cell.job", job_index),
-                      "cell.job", job_index);
-      apply_job_fault(failpoint::check("cell.attempt"), "cell.attempt",
-                      job_index);
+      const auto where = [&] { return "job " + std::to_string(job_index); };
+      if (const auto hit = failpoint::check_indexed("cell.job", job_index)) {
+        failpoint::act(hit, "cell.job", where());
+      }
+      failpoint::inject("cell.attempt", where);
       {
         OBS_SPAN_N("sweep.job", "sweep", job_index);
         outcome.result =

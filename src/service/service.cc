@@ -8,8 +8,10 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,6 +47,13 @@ struct Active {
   std::string error;                   ///< Same.
   runner::StreamStats stats;           ///< Same.
   std::thread thread;
+};
+
+/// A loaded pending or running request that is not active yet: parsed
+/// once, when it was loaded, and kept until it activates.
+struct Waiting {
+  Request request;
+  runner::SweepSpec spec;
 };
 
 }  // namespace
@@ -125,13 +134,12 @@ namespace {
 /// loop only reads the atomics and commits the state word afterwards.
 void drive_request(const Spool& spool, const runner::SweepRunner& runner,
                    runner::ThreadPool& pool, const std::atomic<bool>& stop,
+                   const Request& request, const runner::SweepSpec& spec,
                    Active& active) {
   // One span per request lifecycle (accept-to-terminal work on this
   // driver thread); arg = total jobs so the timeline shows request size.
   OBS_SPAN_N("service.request", "service", active.jobs_total);
   try {
-    const Request request = parse_request(read_file(spool.request_json(active.id)));
-    const runner::SweepSpec spec = spec_of(request);
     runner::ReportFiles reports(spool.report_json(active.id),
                                 request.csv ? spool.report_csv(active.id) : "",
                                 request.timing, request.profile);
@@ -195,20 +203,105 @@ int Service::run(const std::atomic<bool>& stop) {
     return std::chrono::duration<double>(Clock::now() - started).count();
   };
 
-  const auto activate = [&](const std::string& id) {
+  // The request table.  This loop is the one writer of request state, so
+  // after the start-up load it never reads a state word again: every
+  // transition writes the word durably, then updates `states` and the
+  // per-state `counts` that health reports.  `waiting` holds every pending
+  // or running request that is not active, in id order.
+  std::unordered_map<std::string, RequestState> states;
+  std::map<std::string, std::uint64_t> counts;  ///< State word -> requests.
+  std::map<std::string, Waiting> waiting;
+  std::size_t queue_depth = 0;  ///< Left in queue/ by the last intake.
+
+  // A degraded outcome: logged, named in health's last_error, and exit 3
+  // under exit_when_idle.
+  const auto degrade = [&](const std::string& id, const char* what,
+                           const std::string& why) {
+    saw_degraded = true;
+    last_error = id + ": " + why;
+    std::cerr << "[serve] " << id << ": " << what << ": " << why << "\n";
+  };
+
+  // Sets `id`'s entry to `state`, a word already on disk (none: drops it).
+  const auto record = [&](const std::string& id,
+                          std::optional<RequestState> state) {
+    if (const auto it = states.find(id); it != states.end()) {
+      const auto count = counts.find(to_string(it->second));
+      if (--count->second == 0) counts.erase(count);
+      states.erase(it);
+    }
+    if (state) {
+      states.emplace(id, *state);
+      ++counts[to_string(*state)];
+    }
+  };
+
+  // Writes `id`'s state word durably, then the table.
+  const auto transition = [&](const std::string& id, RequestState state,
+                              const std::string& error = "") {
+    spool.set_state(id, state, error);
+    record(id, state);
+  };
+
+  // A request that cannot run ends as `state`; false when that word could
+  // not be written, which leaves the request where it was.
+  const auto give_up = [&](const std::string& id, RequestState state,
+                           const std::string& why) {
+    degrade(id, to_string(state), why);
+    try {
+      transition(id, state, why);
+      return true;
+    } catch (const std::exception& e) {
+      std::cerr << "[serve] " << id << ": state write failed: " << e.what()
+                << "\n";
+      return false;
+    }
+  };
+
+  // The one load path, for start-up and intake alike: reads `id`'s state
+  // word and, for a pending or running request, parses the request once.
+  // One that does not parse becomes `unparsable` (rejected at intake,
+  // failed at start-up).  An id whose state word is unreadable, or whose
+  // terminal word cannot be written, stays out of the table.
+  const auto load = [&](const std::string& id, RequestState unparsable) {
+    record(id, std::nullopt);
+    waiting.erase(id);
+    RequestState state;
+    try {
+      state = spool.state(id);
+    } catch (const std::exception& e) {
+      degrade(id, "unreadable state", e.what());
+      return;
+    }
+    if (state == RequestState::kPending || state == RequestState::kRunning) {
+      try {
+        const Request request =
+            parse_request(read_file(spool.request_json(id)));
+        waiting.emplace(id, Waiting{request, spec_of(request)});
+      } catch (const std::exception& e) {
+        give_up(id, unparsable, e.what());
+        return;
+      }
+    }
+    record(id, state);
+  };
+
+  // Starts `request`'s driver.  Moves the request into the driver thread
+  // only once the `running` word is durable.
+  const auto activate = [&](const std::string& id, Waiting& request) {
     OBS_SPAN("service.admit", "service");
-    const Request request = parse_request(read_file(spool.request_json(id)));
-    const runner::SweepSpec spec = spec_of(request);
     auto entry = std::make_unique<Active>();
     entry->id = id;
-    entry->cells = spec.cell_count();
-    entry->jobs_total = spec.job_count();
-    spool.set_state(id, RequestState::kRunning);
+    entry->cells = request.spec.cell_count();
+    entry->jobs_total = request.spec.job_count();
+    transition(id, RequestState::kRunning);
     Active& ref = *entry;
-    entry->thread = std::thread([&spool, &runner, &pool, &stop, &ref] {
-      drive_request(spool, runner, pool, stop, ref);
-    });
-    std::cerr << "[serve] " << id << ": running (" << spec.job_count()
+    entry->thread = std::thread(
+        [&spool, &runner, &pool, &stop, &ref, request = std::move(request)] {
+          drive_request(spool, runner, pool, stop, request.request,
+                        request.spec, ref);
+        });
+    std::cerr << "[serve] " << id << ": running (" << ref.jobs_total
               << " jobs)\n";
     active.push_back(std::move(entry));
   };
@@ -237,11 +330,6 @@ int Service::run(const std::atomic<bool>& stop) {
     std::string json = "{\"pid\":" + std::to_string(::getpid()) +
                        ",\"uptime_s\":" + json_number(uptime_s()) +
                        ",\"draining\":" + (draining ? "true" : "false");
-    std::map<std::string, std::uint64_t> counts;
-    for (const std::string& id : spool.requests()) {
-      ++counts[to_string(spool.state(id))];
-    }
-    const std::size_t queue_depth = spool.queued().size();
     json += ",\"queue_depth\":" + std::to_string(queue_depth);
     json += ",\"requests\":{";
     bool first = true;
@@ -313,6 +401,12 @@ int Service::run(const std::atomic<bool>& stop) {
     }
   };
 
+  // Start-up: the one walk of requests/.  Interrupted `running` requests
+  // and accepted `pending` ones load as waiting work.
+  for (const std::string& id : spool.requests()) {
+    load(id, RequestState::kFailed);
+  }
+
   for (;;) {
     const bool draining = stop.load(std::memory_order_relaxed);
     if (draining && !drain_logged) {
@@ -338,25 +432,22 @@ int Service::run(const std::atomic<bool>& stop) {
       if (entry.outcome != Outcome::kDrained) ++requests_finished_total;
       switch (entry.outcome) {
         case Outcome::kDone:
-          spool.set_state(entry.id, RequestState::kDone);
+          transition(entry.id, RequestState::kDone);
           std::cerr << "[serve] " << entry.id << ": done ("
                     << entry.stats.jobs_executed << " run, "
                     << entry.stats.jobs_resumed << " resumed)\n";
           break;
         case Outcome::kQuarantined:
           saw_degraded = true;
-          spool.set_state(entry.id, RequestState::kQuarantined,
-                          std::to_string(entry.stats.jobs_failed) +
-                              " jobs quarantined");
+          transition(entry.id, RequestState::kQuarantined,
+                     std::to_string(entry.stats.jobs_failed) +
+                         " jobs quarantined");
           std::cerr << "[serve] " << entry.id << ": quarantined ("
                     << entry.stats.jobs_failed << " failed jobs)\n";
           break;
         case Outcome::kFailed:
-          saw_degraded = true;
-          last_error = entry.id + ": " + entry.error;
-          spool.set_state(entry.id, RequestState::kFailed, entry.error);
-          std::cerr << "[serve] " << entry.id << ": failed: " << entry.error
-                    << "\n";
+          degrade(entry.id, "failed", entry.error);
+          transition(entry.id, RequestState::kFailed, entry.error);
           break;
         case Outcome::kDrained:
           // State stays `running`: the journal holds every finished job
@@ -389,24 +480,33 @@ int Service::run(const std::atomic<bool>& stop) {
       continue;
     }
 
-    // Intake: accept queued requests.  A malformed one is rejected with
-    // its reason; an id that is currently running defers (its resubmission
-    // stays queued until the active run finishes).
+    // Intake: admit and load queued requests.  An id that is active
+    // defers (its resubmission stays queued until the active run
+    // finishes).  This listing is the poll's only one: it also gives
+    // health its queue_depth and the idle check its empty queue, and a
+    // failed listing never counts as empty.
+    bool scanned = false;
     try {
       OBS_SPAN("service.scan", "service");
-      for (const std::string& id : spool.queued()) {
+      const std::vector<std::string> queued = spool.queued();
+      scanned = true;
+      queue_depth = queued.size();
+      for (const std::string& id : queued) {
         bool busy = false;
         for (const auto& entry : active) busy = busy || entry->id == id;
         if (busy) continue;
-        spool.admit(id);
         try {
-          parse_request(read_file(spool.request_json(id)));
+          spool.admit(id);
         } catch (const std::exception& e) {
-          saw_degraded = true;
-          spool.set_state(id, RequestState::kRejected, e.what());
           last_error = id + ": " + e.what();
-          std::cerr << "[serve] " << id << ": rejected: " << e.what() << "\n";
+          std::cerr << "[serve] " << id << ": admission failed: " << e.what()
+                    << "\n";
+          // Before its commit rename the request is still queued and the
+          // next poll retries it; after the rename it is accepted.
+          if (exists(spool.queue_path(id))) continue;
         }
+        --queue_depth;
+        load(id, RequestState::kRejected);
       }
     } catch (const std::exception& e) {
       // A failed scan (transient I/O) is retried next poll, not fatal.
@@ -414,72 +514,42 @@ int Service::run(const std::atomic<bool>& stop) {
       std::cerr << "[serve] queue scan failed: " << e.what() << "\n";
     }
 
-    // Schedule: activate pending (and recovered running) requests within
-    // the admission bounds.  `running` non-active ids are interrupted work
-    // from a previous process — they resume first, before new pending
-    // work, so accepted jobs finish ahead of new admissions.
+    // Schedule: activate waiting requests within the admission bounds, in
+    // id order.  Interrupted `running` requests go first, before new
+    // pending work, so accepted jobs finish ahead of new admissions.
     std::uint64_t active_cells = 0;
     for (const auto& entry : active) active_cells += entry->cells;
     for (const RequestState wanted :
          {RequestState::kRunning, RequestState::kPending}) {
-      for (const std::string& id : spool.requests()) {
-        if (active.size() >= config_.max_active) break;
-        bool busy = false;
-        for (const auto& entry : active) busy = busy || entry->id == id;
-        if (busy) continue;
-        RequestState state;
-        try {
-          state = spool.state(id);
-        } catch (const std::exception& e) {
-          last_error = id + ": " + e.what();
-          continue;  // Unreadable state file: skip, surface via health.
+      for (auto it = waiting.begin();
+           it != waiting.end() && active.size() < config_.max_active;) {
+        const std::string& id = it->first;
+        const std::uint64_t cells = it->second.spec.cell_count();
+        if (states.at(id) != wanted ||
+            (config_.max_cells > 0 && !active.empty() &&
+             active_cells + cells > config_.max_cells)) {
+          ++it;  // Another pass's, or backpressure: waits for a later poll.
+          continue;
         }
-        if (state != wanted) continue;
         try {
-          const Request request =
-              parse_request(read_file(spool.request_json(id)));
-          const std::uint64_t cells = spec_of(request).cell_count();
-          if (config_.max_cells > 0 && !active.empty() &&
-              active_cells + cells > config_.max_cells) {
-            continue;  // Backpressure: stays pending/running for later.
-          }
-          activate(id);
+          activate(id, it->second);
           active_cells += cells;
         } catch (const std::exception& e) {
-          // A request that parsed at intake but fails now (corrupted file,
-          // failpoint) fails terminally rather than looping forever.
-          saw_degraded = true;
-          last_error = id + ": " + e.what();
-          try {
-            spool.set_state(id, RequestState::kFailed, e.what());
-          } catch (const std::exception& state_error) {
-            std::cerr << "[serve] " << id
-                      << ": state write failed: " << state_error.what()
-                      << "\n";
+          // Fails terminally rather than retrying every poll.
+          if (!give_up(id, RequestState::kFailed, e.what())) {
+            ++it;
+            continue;
           }
-          std::cerr << "[serve] " << id << ": failed: " << e.what() << "\n";
         }
+        it = waiting.erase(it);
       }
     }
 
     write_health(false);
 
-    if (config_.exit_when_idle && active.empty()) {
-      bool idle = spool.queued().empty();
-      if (idle) {
-        for (const std::string& id : spool.requests()) {
-          const RequestState state = spool.state(id);
-          if (state == RequestState::kPending ||
-              state == RequestState::kRunning) {
-            idle = false;
-            break;
-          }
-        }
-      }
-      if (idle) {
-        write_health(false);
-        return saw_degraded ? 3 : 0;
-      }
+    if (config_.exit_when_idle && scanned && queue_depth == 0 &&
+        active.empty() && waiting.empty()) {
+      return saw_degraded ? 3 : 0;
     }
 
     // Poll cadence, chopped fine so SIGTERM reaction is prompt.

@@ -9,6 +9,10 @@
 //    state renames; results advance by journal appends; on restart every
 //    `running` request resumes through its journal and the recovered
 //    report is byte-identical to an uninterrupted run.
+//  - run() owns request state: it loads every request once at start-up,
+//    then each transition writes its word durably and updates an
+//    in-memory table, and a poll lists only queue/, so idle cost does not
+//    grow with the number of finished requests.
 //  - SIGTERM drains gracefully: in-flight jobs finish and are journaled,
 //    states stay `running` (resumed next start), health is current, exit
 //    is 0 — all inside a bounded deadline, past which the service falls
@@ -76,7 +80,7 @@ class Service {
   /// (graceful drain) or, with exit_when_idle, until all work is done.
   /// Returns the process exit code: 0 clean or drained, 1 internal error,
   /// 3 degraded (exit_when_idle and some request failed/quarantined/
-  /// rejected).
+  /// rejected, or an unreadable state word was skipped).
   int run(const std::atomic<bool>& stop);
 
  private:

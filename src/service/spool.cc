@@ -1,16 +1,12 @@
 #include "service/spool.hh"
 
 #include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
@@ -27,20 +23,10 @@ constexpr const char* kJsonSuffix = ".json";
   throw std::runtime_error(path + ": " + what + ": " + std::strerror(errno));
 }
 
-void ensure_dir(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-    fail_errno(path, "mkdir");
-  }
-}
-
-bool exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-void rename_or_throw(const std::string& from, const std::string& to) {
-  if (std::rename(from.c_str(), to.c_str()) != 0) {
-    fail_errno(from, ("rename to " + to).c_str());
+/// Unlinks `path`; a missing file is fine.
+void remove_if_present(const std::string& path) {
+  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
+    fail_errno(path, "unlink");
   }
 }
 
@@ -67,28 +53,13 @@ std::vector<std::string> list_dir(const std::string& dir,
   return names;
 }
 
-/// Polls a service failpoint.  kError throws, kDelay sleeps and proceeds;
-/// actions these whole-file sites cannot express degrade to an error so a
-/// schedule never silently misses (same contract as the fileio sites).
-void poll_failpoint(const char* site, const std::string& path) {
-  const failpoint::Hit hit = failpoint::check(site);
-  if (!hit) return;
-  if (hit.action == failpoint::Action::kDelay) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-    return;
-  }
-  throw std::runtime_error(path + ": injected fault (failpoint " +
-                           std::string(site) + ")");
-}
-
 /// Durable write-then-rename: `content` lands at `path` either whole or
 /// not at all, and survives power loss once this returns.
 void replace_file_durable(const std::string& path, const std::string& content,
                           const std::string& dir) {
   const std::string tmp = dir + "/.tmp-" + path.substr(dir.size() + 1);
   write_file_durable(tmp, content);
-  rename_or_throw(tmp, path);
-  sync_directory(dir);
+  rename_durable(tmp, path);
 }
 
 }  // namespace
@@ -176,13 +147,12 @@ std::string Spool::enqueue(const std::string& root, const std::string& id,
       queue + "/.tmp-" + std::to_string(::getpid()) + "-" + id;
   write_file_durable(tmp, json_text);
   const std::string target = queue + "/" + id + kJsonSuffix;
-  rename_or_throw(tmp, target);
-  sync_directory(queue);
+  rename_durable(tmp, target);
   return target;
 }
 
 std::vector<std::string> Spool::queued() const {
-  poll_failpoint("service.scan", root_ + "/" + kQueueDir);
+  failpoint::inject("service.scan", [&] { return root_ + "/" + kQueueDir; });
   std::vector<std::string> ids = list_dir(
       root_ + "/" + kQueueDir, [](const struct dirent& entry) {
         const std::size_t len = std::strlen(entry.d_name);
@@ -203,14 +173,17 @@ void Spool::admit(const std::string& id) {
   }
   const std::string dir = request_dir(id);
   ensure_dir(dir);
-  // Crash windows: after the mkdir the queue file is still in place (the
-  // next scan retries); after the rename the request is accepted even if
-  // the state write never happened (state() reads a missing file as
-  // pending).  The rename is the commit point.
-  rename_or_throw(queue_path(id), request_json(id));
+  // A resubmission replaces a request that may have run: its state word
+  // and error go, durably, before the commit rename, so no crash or fault
+  // can leave the previous run's `done` beside the new request.  A missing
+  // state word reads as pending, so nothing is written after the rename.
+  // Before the rename the queue file is still in place and the next scan
+  // retries; every step is idempotent.
+  remove_if_present(dir + "/state");
+  remove_if_present(dir + "/error");
   sync_directory(dir);
+  rename_durable(queue_path(id), request_json(id));
   sync_directory(root_ + "/" + kQueueDir);
-  set_state(id, RequestState::kPending);
 }
 
 std::vector<std::string> Spool::requests() const {
@@ -234,15 +207,15 @@ RequestState Spool::state(const std::string& id) const {
 
 void Spool::set_state(const std::string& id, RequestState state,
                       const std::string& error) {
-  poll_failpoint("service.state", request_dir(id) + "/state");
   const std::string dir = request_dir(id);
+  failpoint::inject("service.state", [&] { return dir + "/state"; });
   // The error file first: once the state word commits, everything it
   // points at must already be durable.
   const std::string error_path = dir + "/error";
   if (!error.empty()) {
     replace_file_durable(error_path, error + "\n", dir);
-  } else if (exists(error_path)) {
-    ::unlink(error_path.c_str());
+  } else {
+    remove_if_present(error_path);
   }
   replace_file_durable(dir + "/state", std::string(to_string(state)) + "\n",
                        dir);
@@ -257,12 +230,12 @@ std::string Spool::error(const std::string& id) const {
 }
 
 void Spool::write_health(const std::string& json) const {
-  poll_failpoint("service.health", health_path());
+  failpoint::inject("service.health", [&] { return health_path(); });
   replace_file_durable(health_path(), json, root_);
 }
 
 void Spool::write_metrics(const std::string& text) const {
-  poll_failpoint("service.metrics", metrics_path());
+  failpoint::inject("service.metrics", [&] { return metrics_path(); });
   replace_file_durable(metrics_path(), text, root_);
 }
 

@@ -21,6 +21,9 @@
 // fsync, rename, fsync directory), so a SIGKILL at any instant leaves
 // either the old word or the new word — never a torn one — and a restart
 // reconstructs exactly what was accepted and what was mid-flight.
+// A Spool caches nothing, so every process polling state() sees each
+// transition as it lands; the service's request table lives in
+// Service::run, the one writer of request state.
 // Four failpoints cover the new I/O boundaries: `service.scan` (queue
 // intake), `service.state` (state rename), `service.health` (heartbeat
 // write), `service.metrics` (Prometheus export); see docs/ROBUSTNESS.md.
@@ -56,8 +59,6 @@ class Spool {
   /// Opens (creating as needed) the spool at `root`.  Throws on I/O error.
   explicit Spool(std::string root);
 
-  const std::string& root() const { return root_; }
-
   /// Producer side: atomically enqueues `json_text` as request `id`
   /// (temp write + fsync + rename into queue/).  Static so producers need
   /// no Spool instance — any process that can write the directory can
@@ -70,16 +71,18 @@ class Spool {
   /// `service.scan` (the spool-scan I/O boundary).
   std::vector<std::string> queued() const;
 
-  /// Accepts queued request `id`: creates requests/<id>/, renames the
-  /// queue file to request.json, durably marks the state pending.  Every
-  /// step is idempotent, so a crash mid-admission re-runs cleanly.
+  /// Accepts queued request `id`: creates requests/<id>/, durably removes
+  /// a previous run's state and error, then renames the queue file to
+  /// request.json (the commit).  No state word is written (a missing one
+  /// reads as pending), so no fault leaves `done` beside a new request.
+  /// Every step is idempotent, so a crash mid-admission re-runs cleanly.
   void admit(const std::string& id);
 
   /// Ids with a request directory, sorted.
   std::vector<std::string> requests() const;
 
-  /// Current state of request `id`.  A directory with request.json but no
-  /// state file is `pending` (the crash window inside admit()).
+  /// Current state of request `id`; no state file is `pending` (as
+  /// admit() leaves it).  Throws on an unrecognized word.
   RequestState state(const std::string& id) const;
 
   /// Durable state transition (temp + fsync + rename + directory fsync).

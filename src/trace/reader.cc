@@ -1,9 +1,7 @@
 #include "trace/reader.hh"
 
-#include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
@@ -118,21 +116,20 @@ TraceReader::TraceReader(const std::string& path)
 void TraceReader::load_block(const IndexEntry& block,
                              std::string& payload) const {
   OBS_SPAN_N("trace.read", "trace", block.record_count);
-  // trace.read_block failpoint: err throws here; short/torn deliver a
-  // truncated payload so the CRC check below fires — the exact failure a
-  // torn tail or bad sector produces.  Inactive: one predicted branch.
+  // trace.read_block failpoint: short/torn deliver a truncated payload so
+  // the CRC check below fires — the exact failure a torn tail or bad
+  // sector produces; delay and err act as at every whole-operation site.
+  // Inactive: one predicted branch.
   std::size_t injected_want = 0;
   if (const auto hit = failpoint::check("trace.read_block")) {
-    if (hit.action == failpoint::Action::kDelay) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-    } else if (hit.action == failpoint::Action::kShortIo ||
-               hit.action == failpoint::Action::kTornWrite) {
+    if (hit.action == failpoint::Action::kShortIo ||
+        hit.action == failpoint::Action::kTornWrite) {
       injected_want = hit.arg != 0 ? static_cast<std::size_t>(hit.arg)
                                    : static_cast<std::size_t>(-1);
     } else {
-      bad_trace(file_.path(),
-                "injected fault (failpoint trace.read_block) at offset " +
-                    std::to_string(block.offset));
+      failpoint::act(hit, "trace.read_block",
+                     "trace " + file_.path() + ": block at offset " +
+                         std::to_string(block.offset));
     }
   }
   BlockHeader header;

@@ -1,32 +1,12 @@
 #include "trace/writer.hh"
 
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "obs/timeline.hh"
 
 namespace allarm::trace {
-
-namespace {
-
-/// Failpoint poll for the writer's two structural sites (trace.write_block
-/// and trace.finish): kDelay sleeps, everything else throws — a torn
-/// capture is exercised end-to-end via fileio.pwrite instead.
-void trace_failpoint(const char* site, const std::string& path) {
-  const auto hit = failpoint::check(site);
-  if (!hit) return;
-  if (hit.action == failpoint::Action::kDelay) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-    return;
-  }
-  throw std::runtime_error("trace " + path + ": injected fault (failpoint " +
-                           site + ")");
-}
-
-}  // namespace
 
 TraceWriter::TraceWriter(const std::string& path,
                          std::uint32_t block_payload_bytes, bool durable)
@@ -73,7 +53,8 @@ std::uint64_t TraceWriter::write_block(std::uint32_t kind,
                                        std::uint32_t record_count,
                                        std::uint64_t first_index,
                                        const std::string& payload) {
-  trace_failpoint("trace.write_block", file_.path());
+  failpoint::inject("trace.write_block",
+                    [&] { return "trace " + file_.path(); });
   BlockHeader header;
   header.kind = kind;
   header.thread_slot = thread_slot;
@@ -109,7 +90,7 @@ void TraceWriter::flush_block(std::uint32_t slot) {
 void TraceWriter::finish() {
   if (finished_) throw std::logic_error("TraceWriter: finish() called twice");
   OBS_SPAN("trace.finish", "trace");
-  trace_failpoint("trace.finish", file_.path());
+  failpoint::inject("trace.finish", [&] { return "trace " + file_.path(); });
   finished_ = true;
 
   // Flush in slot order so the tail blocks land deterministically.

@@ -1,7 +1,9 @@
 // Tests for the deterministic fault-injection layer: the failpoint spec
 // grammar, hit-window arithmetic, indexed matching, env configuration,
-// and the five fileio sites' action semantics (err/short/torn/eintr/
-// delay) including the enriched path + context + strerror error strings.
+// the whole-operation interpreter (`inject`: delay proceeds, everything
+// else throws), and the five fileio sites' action semantics (err/short/
+// torn/eintr/delay) including the enriched path + context + strerror
+// error strings.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -139,6 +141,25 @@ TEST_F(Failpoint, ConfiguresFromEnvironment) {
   EXPECT_TRUE(failpoint::active());  // Unset env leaves the spec alone.
 }
 
+TEST_F(Failpoint, InjectDelaysProceedAndEveryOtherActionThrows) {
+  failpoint::Scoped guard("site.x=delay.1@1;site.x=err@2;site.x=torn@3");
+  int built = 0;
+  const auto where = [&] {
+    ++built;
+    return std::string("subject");
+  };
+  EXPECT_NO_THROW(failpoint::inject("site.x", where));  // Delay proceeds.
+  try {
+    failpoint::inject("site.x", where);
+    FAIL() << "err did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "subject: injected fault (failpoint site.x)");
+  }
+  EXPECT_THROW(failpoint::inject("site.x", where), std::runtime_error);
+  EXPECT_NO_THROW(failpoint::inject("site.x", where));  // Past every rule.
+  EXPECT_EQ(built, 3);  // Only polls where a rule fired build the subject.
+}
+
 // ------------------------------------------------------ fileio integration ----
 
 TEST_F(Failpoint, FileioErrorsCarryPathContextAndInjectionMarker) {
@@ -253,6 +274,20 @@ TEST_F(Failpoint, SyncAndTruncateAndOpenSitesFire) {
   failpoint::Scoped guard("fileio.open=err@2");
   File ok(path, File::Mode::kRead);  // Poll 1: passes.
   EXPECT_THROW(File(path, File::Mode::kRead), std::runtime_error);
+}
+
+TEST_F(Failpoint, WholeOperationFileioSitesHonourDelay) {
+  const std::string path = temp_path("file");
+  write_file_durable(path, "data");
+  failpoint::Scoped guard(
+      "fileio.open=delay.1@1;fileio.fsync=delay.1@1:2;"
+      "fileio.ftruncate=delay.1@1");
+  File file(path, File::Mode::kReadWrite);
+  file.sync();
+  sync_directory(::testing::TempDir());
+  file.truncate(2);
+  file.close();
+  EXPECT_EQ(read_file(path), "da");
 }
 
 }  // namespace

@@ -107,11 +107,11 @@ TEST_F(FaultProperty, EveryScheduleCompletesIdenticalOrResumesToReference) {
     std::uint64_t min_at;
   };
   const Site sites[] = {
-      {"journal.append", {"err", nullptr, nullptr}, 1},
-      {"journal.fsync", {"err", nullptr, nullptr}, 1},
+      {"journal.append", {"err", "delay", nullptr}, 1},
+      {"journal.fsync", {"err", "delay", nullptr}, 1},
       {"fileio.pwrite", {"err", "torn", "short"}, 4},
       {"fileio.fsync", {"err", "delay", nullptr}, 4},
-      {"sink.write", {"err", nullptr, nullptr}, 1},
+      {"sink.write", {"err", "delay", nullptr}, 1},
       {"cell.attempt", {"err", "delay", nullptr}, 1},
   };
 
@@ -161,6 +161,32 @@ TEST_F(FaultProperty, EveryScheduleCompletesIdenticalOrResumesToReference) {
     }
     remove_journal(journal);
   }
+}
+
+TEST_F(FaultProperty, DelayRulesProceedAtEveryWholeOperationSite) {
+  // `delay` sleeps and proceeds wherever it is scheduled: a journaled run
+  // under it is byte-identical, and a delayed payload read still resumes.
+  const auto spec = tiny_spec();
+  const std::string reference = stream_json(spec, 1);
+  const std::string journal = temp_path("journal");
+  runner::StreamOptions options;
+  options.journal_path = journal;
+  for (const char* rule : {"journal.append=delay.1@1", "journal.fsync=delay.1@1",
+                           "sink.write=delay.1@1"}) {
+    remove_journal(journal);
+    failpoint::Scoped guard(rule);
+    try {
+      EXPECT_EQ(stream_json(spec, 1, options), reference) << rule;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << rule << ": " << e.what();
+    }
+  }
+  failpoint::Scoped guard("journal.read_payload=delay.1@1");
+  runner::StreamStats stats;
+  EXPECT_EQ(stream_json(spec, 1, options, &stats), reference);
+  EXPECT_EQ(stats.jobs_executed, 0u);
+  EXPECT_EQ(stats.jobs_resumed, spec.job_count());
+  remove_journal(journal);
 }
 
 // -------------------------------------------------------- retry/backoff ----

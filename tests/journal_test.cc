@@ -1021,7 +1021,9 @@ TEST(Streaming, CaptureOnAnExistingJournalIsRefused) {
   options.journal_path = path;
   stream_json(spec, 2, options);
   spec.capture_dir = temp_path("traces");
+  std::remove(spec.capture_dir.c_str());
   EXPECT_THROW(stream_json(spec, 2, options), std::invalid_argument);
+  EXPECT_FALSE(exists(spec.capture_dir));  // Refused before any mkdir.
   remove_journal(path);
 }
 

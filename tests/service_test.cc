@@ -2,7 +2,8 @@
 // the file spool (atomic enqueue, admission, durable state machine), the
 // admission/scheduling pieces of the runner (plan_shards, retry jitter),
 // drain semantics, shared-pool multiplexing, and the Service loop
-// end-to-end through the built-in grids.
+// end-to-end through the built-in grids, including its request table
+// (file opens per poll, an unreadable state word).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -209,9 +210,9 @@ TEST(Spool, StateMachineIsDurableAndTyped) {
   service::Spool::enqueue(root, "job", "{\"grid\": \"quick\"}");
   spool.admit("job");
 
-  // A request directory without a state file reads as pending — that is
-  // the admit() crash window after the rename, before the state write.
-  ASSERT_EQ(std::remove((spool.request_dir("job") + "/state").c_str()), 0);
+  // Admission writes no state word: a request directory without one
+  // reads as pending.
+  EXPECT_FALSE(exists(spool.request_dir("job") + "/state"));
   EXPECT_EQ(spool.state("job"), service::RequestState::kPending);
 
   for (const service::RequestState state :
@@ -234,6 +235,40 @@ TEST(Spool, StateMachineIsDurableAndTyped) {
   // A corrupted state word is a loud error, not a silent default.
   write_file_durable(spool.request_dir("job") + "/state", "exploded\n");
   EXPECT_THROW(spool.state("job"), std::runtime_error);
+}
+
+TEST(Spool, AdmissionFaultsNeverLeaveTheReplacedRunsStateWord) {
+  // Resubmitting a finished id: wherever admission faults, either the
+  // queue file is still in place (the next scan retries it) or the state
+  // reads pending, so the new request runs instead of inheriting `done`.
+  const std::string root = temp_path("spool");
+  for (const char* site : {"service.state", "fileio.fsync"}) {
+    int throws = 0;
+    for (int k = 1; k <= 4; ++k) {
+      const std::string rule = std::string(site) + "=err@" + std::to_string(k);
+      remove_tree(root);
+      service::Spool spool(root);
+      service::Spool::enqueue(root, "job", R"({"grid": "quick", "accesses": 200})");
+      spool.admit("job");
+      spool.set_state("job", service::RequestState::kDone);
+      service::Spool::enqueue(root, "job", R"({"grid": "quick", "accesses": 300})");
+      try {
+        failpoint::Scoped guard(rule);
+        spool.admit("job");
+      } catch (const std::runtime_error& e) {
+        ++throws;
+        EXPECT_TRUE(exists(spool.queue_path("job")) ||
+                    spool.state("job") == service::RequestState::kPending)
+            << rule << ": " << e.what();
+      }
+      if (exists(spool.queue_path("job"))) spool.admit("job");  // Next scan.
+      EXPECT_EQ(spool.state("job"), service::RequestState::kPending) << rule;
+      EXPECT_NE(read_file(spool.request_json("job")).find("300"),
+                std::string::npos)
+          << rule;
+    }
+    if (std::string(site) == "fileio.fsync") EXPECT_GT(throws, 0);
+  }
 }
 
 TEST(Spool, FailpointsCoverScanStateAndHealth) {
@@ -437,6 +472,100 @@ TEST(Service, RunsQueuedRequestToDoneWithCliIdenticalReport) {
   EXPECT_FALSE(read_file(spool.report_csv("demo")).empty());
   EXPECT_NE(read_file(spool.health_path()).find("\"done\":1"),
             std::string::npos);
+}
+
+TEST(Service, PollOpensDoNotGrowWithFinishedRequests) {
+  // Each request's state is read once, at start-up; after that a poll's
+  // file opens do not depend on history.  Far-future rules only count:
+  // fileio.open sees every File opened and service.health every poll (one
+  // heartbeat each).
+  const std::string root = temp_path("spool");
+  remove_tree(root);
+  constexpr std::uint64_t kFinished = 400;
+  {
+    service::Spool spool(root);
+    for (std::uint64_t i = 0; i < kFinished; ++i) {
+      const std::string id = "old" + std::to_string(i);
+      ASSERT_EQ(::mkdir(spool.request_dir(id).c_str(), 0755), 0);
+      std::ofstream(spool.request_json(id)) << R"({"grid": "quick"})";
+      std::ofstream(spool.request_dir(id) + "/state") << "done\n";
+    }
+  }
+  service::Spool::enqueue(root, "new", R"({"grid": "quick", "accesses": 300})");
+
+  service::ServiceConfig config;
+  config.root = root;
+  config.workers = 2;
+  config.poll_ms = 1;
+  config.exit_when_idle = true;
+  std::atomic<bool> stop{false};
+  std::uint64_t opens = 0;
+  std::uint64_t polls = 0;
+  {
+    failpoint::Scoped guard(
+        "fileio.open=err@1000000000;service.health=err@1000000000");
+    EXPECT_EQ(service::Service(config).run(stop), 0);
+    opens = failpoint::hits("fileio.open");
+    polls = failpoint::hits("service.health");
+  }
+  EXPECT_GT(polls, 0u);
+  EXPECT_LE(opens, kFinished + 4 * polls + 64)
+      << opens << " opens over " << polls << " polls";
+  EXPECT_EQ(service::Spool(root).state("new"), service::RequestState::kDone);
+}
+
+TEST(Service, UnreadableStateWordIsSkippedNamedAndDegradesTheExit) {
+  const std::string root = temp_path("spool");
+  remove_tree(root);
+  {
+    service::Spool spool(root);
+    ASSERT_EQ(::mkdir(spool.request_dir("broken").c_str(), 0755), 0);
+    write_file_durable(spool.request_json("broken"), R"({"grid": "quick"})");
+    write_file_durable(spool.request_dir("broken") + "/state", "garbage\n");
+  }
+  service::Spool::enqueue(root, "good", R"({"grid": "quick", "accesses": 300})");
+
+  service::ServiceConfig config;
+  config.root = root;
+  config.workers = 2;
+  config.poll_ms = 20;
+  config.exit_when_idle = true;
+  std::atomic<bool> stop{false};
+  EXPECT_EQ(service::Service(config).run(stop), 3);
+
+  service::Spool spool(root);
+  EXPECT_EQ(spool.state("good"), service::RequestState::kDone);
+  EXPECT_THROW(spool.state("broken"), std::runtime_error);  // Left as found.
+  const service::JsonValue health =
+      service::parse_json(read_file(spool.health_path()));
+  const std::string last_error = health.find("last_error")->string;
+  EXPECT_EQ(last_error.rfind("broken: ", 0), 0u) << last_error;
+  EXPECT_NE(last_error.find("garbage"), std::string::npos) << last_error;
+  const service::JsonValue& requests = *health.find("requests");
+  ASSERT_EQ(requests.object.size(), 1u);
+  EXPECT_EQ(requests.find("done")->as_u64("done"), 1u);
+}
+
+TEST(Service, AdmissionFaultAfterTheCommitRenameStillRunsTheRequest) {
+  // fsync #2 is admission's directory sync right after its commit rename:
+  // the request is accepted, so intake loads it and it runs at once.
+  const std::string root = temp_path("spool");
+  remove_tree(root);
+  service::Spool::enqueue(root, "late", R"({"grid": "quick", "accesses": 300})");
+
+  service::ServiceConfig config;
+  config.root = root;
+  config.workers = 2;
+  config.poll_ms = 20;
+  config.exit_when_idle = true;
+  std::atomic<bool> stop{false};
+  {
+    failpoint::Scoped guard("fileio.fsync=err@2");
+    EXPECT_EQ(service::Service(config).run(stop), 0);
+  }
+  service::Spool spool(root);
+  EXPECT_TRUE(spool.queued().empty());
+  EXPECT_EQ(spool.state("late"), service::RequestState::kDone);
 }
 
 TEST(Service, RejectsMalformedRequestAndExitsDegraded) {
