@@ -3,9 +3,9 @@
 // Consumer mode (the default) runs the accept/schedule/health loop over a
 // file spool until signalled:
 //
-//   allarm_serve --root DIR [--workers N] [--max-active N] [--max-cells N]
-//                [--poll-ms N] [--drain-ms N] [--exit-when-idle]
-//                [--failpoints SPEC] [--timeline FILE]
+//   allarm_serve --root DIR [--workers N] [--max-active N] [--poll-ms N]
+//                [--drain-ms N] [--exit-when-idle] [--failpoints SPEC]
+//                [--timeline FILE]
 //
 // --timeline records a Chrome trace-event JSON timeline of the service run
 // (request lifecycle, scheduling, journal and simulation spans) and writes
@@ -54,9 +54,8 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 void usage(std::ostream& out) {
   out << "usage: allarm_serve --root DIR [--workers N] [--max-active N]\n"
-         "                    [--max-cells N] [--poll-ms N] [--drain-ms N]\n"
-         "                    [--exit-when-idle] [--failpoints SPEC]\n"
-         "                    [--timeline FILE]\n"
+         "                    [--poll-ms N] [--drain-ms N] [--exit-when-idle]\n"
+         "                    [--failpoints SPEC] [--timeline FILE]\n"
          "       allarm_serve --root DIR --enqueue FILE --as NAME\n";
 }
 
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
         if (config.max_active == 0) {
           throw std::invalid_argument("--max-active must be at least 1");
         }
-      } else if (std::strcmp(arg, "--max-cells") == 0) {
-        config.max_cells = parse_u64(arg, value(i));
       } else if (std::strcmp(arg, "--poll-ms") == 0) {
         config.poll_ms = parse_u64_max(arg, value(i), kMaxU32);
         if (config.poll_ms == 0) config.poll_ms = 1;

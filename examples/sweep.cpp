@@ -19,18 +19,9 @@
 //   --shard K/N          run only shard K of N (1-based; cells partition
 //                        round-robin).  Requires --journal so the shards
 //                        can be merged later
-//   --cost-from FILE     with --shard: plan the cell partition from the
-//                        measured per-job wall_ns in journal FILE (a prior
-//                        run or --timing pass of the same grid shape)
-//                        instead of round-robin, so slow cells spread
-//                        across shards.  Every shard of one sweep must use
-//                        the same FILE; reports are byte-identical either
-//                        way (the plan only moves work, never results)
 //   --merge FILE         merge mode: fold the given shard journal instead
 //                        of running anything (repeat per shard).  Produces
 //                        byte-identical output to a single-machine run
-//   --window N           cap on in-flight + unfolded results (default:
-//                        4x workers); bounds peak memory at O(jobs)
 //   --timing             include per-cell "wall_ns" (host wall-clock per
 //                        replicate) in the JSON report.  Off by default:
 //                        wall clock varies run to run, and the canonical
@@ -115,10 +106,8 @@ struct Options {
   std::string out;
   std::string csv;
   std::string journal;
-  std::string cost_from;
   runner::ShardSpec shard;
   std::vector<std::string> merge;
-  std::size_t window = 0;
   bool timing = false;
   bool profile = false;
   std::string timeline;
@@ -142,8 +131,7 @@ struct Options {
       "usage: sweep --grid " << grids << " [--jobs N]\n"
       "             [--seeds K] [--accesses N] [--seed N] [--out FILE]\n"
       "             [--csv FILE] [--journal FILE]\n"
-      "             [--shard K/N [--cost-from FILE]]\n"
-      "             [--merge FILE]... [--window N] [--timing]\n"
+      "             [--shard K/N] [--merge FILE]... [--timing]\n"
       "             [--profile] [--timeline FILE]\n"
       "             [--capture DIR] [--replay DIR]\n"
       "             [--trace FILE]... [--cores LIST] [--list]\n"
@@ -224,14 +212,10 @@ Options parse(int argc, char** argv) {
       options.csv = value(i);
     } else if (std::strcmp(arg, "--journal") == 0) {
       options.journal = value(i);
-    } else if (std::strcmp(arg, "--cost-from") == 0) {
-      options.cost_from = value(i);
     } else if (std::strcmp(arg, "--shard") == 0) {
       options.shard = parse_shard(value(i));
     } else if (std::strcmp(arg, "--merge") == 0) {
       options.merge.push_back(value(i));
-    } else if (std::strcmp(arg, "--window") == 0) {
-      options.window = cli::parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--timing") == 0) {
       options.timing = true;
     } else if (std::strcmp(arg, "--profile") == 0) {
@@ -289,11 +273,6 @@ Options parse(int argc, char** argv) {
   }
   if (options.seeds == 0) {
     std::cerr << "--seeds must be positive\n";
-    usage(2);
-  }
-  if (!options.cost_from.empty() && options.shard.count <= 1) {
-    std::cerr << "--cost-from plans a --shard partition; it needs --shard "
-                 "K/N with N > 1\n";
     usage(2);
   }
   if (options.shard.count > 1 && options.journal.empty() &&
@@ -382,17 +361,6 @@ int main(int argc, char** argv) try {
   runner::StreamOptions stream;
   stream.journal_path = options.journal;
   stream.shard = options.shard;
-  if (!options.cost_from.empty()) {
-    // Cost-aware partition: plan_shards is deterministic, so every shard
-    // of the sweep derives the identical assignment from the same journal.
-    const std::vector<double> costs =
-        runner::cell_costs_from_journal(spec, options.cost_from);
-    stream.shard.assignment = runner::plan_shards(costs, options.shard.count);
-    std::cerr << "planned " << costs.size() << " cells across "
-              << options.shard.count << " shards from measured costs in "
-              << options.cost_from << "\n";
-  }
-  stream.max_outstanding = options.window;
   stream.cell_retries = options.cell_retries;
   stream.retry_backoff_ms = options.cell_backoff_ms;
   stream.cell_timeout_ns = options.cell_timeout_ns;

@@ -21,10 +21,7 @@
 #                     and merging a re-run shard with a stale one fails and
 #                     names the stale journal, as does merging a shard whose
 #                     re-run of an edited spec died right after rebinding
-#                     its journal;
-#  6. cost-from     - a --timing journal plans --shard 1/2 and 2/2 with
-#                     --cost-from; their merge reproduces the single-machine
-#                     JSON and CSV.
+#                     its journal.
 #
 # Usage: scripts/ci_resume_smoke.sh [path-to-sweep-binary]
 set -euo pipefail
@@ -38,7 +35,7 @@ ARGS=(--grid quick --seeds 2 --accesses 2000 --seed 42)
 HEADER=64
 RECORD=40
 
-echo "== 1/6 determinism: --jobs 2 vs --jobs 1 =="
+echo "== 1/5 determinism: --jobs 2 vs --jobs 1 =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --out "$WORK/full.json" --csv "$WORK/full.csv" \
     2> "$WORK/full.log"
 cat "$WORK/full.log" >&2
@@ -54,7 +51,7 @@ if [ -z "$TOTAL_JOBS" ] || [ "$TOTAL_JOBS" -lt 2 ]; then
     exit 1
 fi
 
-echo "== 2/6 kill -9 at ~40% of journaled jobs, then rerun on the journal =="
+echo "== 2/5 kill -9 at ~40% of journaled jobs, then rerun on the journal =="
 TARGET=$(( (TOTAL_JOBS * 40 + 99) / 100 ))   # ceil(40%)
 "$SWEEP" "${ARGS[@]}" --jobs 1 --journal "$WORK/run.journal" \
          --out "$WORK/interrupted.json" &
@@ -99,7 +96,7 @@ if [ "$KILLED" -eq 1 ] && [ "$RESUMED" -lt $((TARGET - 1)) ]; then
 fi
 echo "OK: resumed report is byte-identical to an uninterrupted run"
 
-echo "== 3/6 rerun: an identical one resumes everything, a new seed re-runs =="
+echo "== 3/5 rerun: an identical one resumes everything, a new seed re-runs =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --journal "$WORK/run.journal" \
          --out "$WORK/again.json" 2> "$WORK/again.log"
 cat "$WORK/again.log"
@@ -126,7 +123,7 @@ fi
 cmp "$WORK/seed43.json" "$WORK/run-43.json"
 echo "OK: an identical rerun resumes everything; a new seed re-runs the grid"
 
-echo "== 4/6 2-shard run + --merge vs single-machine bytes =="
+echo "== 4/5 2-shard run + --merge vs single-machine bytes =="
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 1/2 --journal "$WORK/s1.journal" \
          --out "$WORK/s1.json"
 "$SWEEP" "${ARGS[@]}" --jobs 2 --shard 2/2 --journal "$WORK/s2.journal" \
@@ -140,7 +137,7 @@ cmp "$WORK/full.csv" "$WORK/merged.csv"
 [ "$(stat -c %s "$WORK/s2.json")" -lt "$(stat -c %s "$WORK/full.json")" ]
 echo "OK: shard+merge reproduces the single-machine bytes (json + csv)"
 
-echo "== 5/6 shards re-run a new seed on their journals; a stale shard is refused =="
+echo "== 5/5 shards re-run a new seed on their journals; a stale shard is refused =="
 "$SWEEP" "${ARGS[@]}" --seed 43 --jobs 2 --shard 1/2 \
          --journal "$WORK/s1.journal" --out "$WORK/s1-43.json"
 # Shard 2 still holds the seed-42 sweep: the merge must refuse it by name.
@@ -178,20 +175,5 @@ if [ "$RC" -eq 0 ] || ! grep -q "s2.journal.*stale record" "$WORK/rebound.log" \
     exit 1
 fi
 echo "OK: re-run shards merge to the fresh seed-43 bytes; stale ones are named"
-
-echo "== 6/6 --cost-from plans the shards; the merge is unchanged =="
-"$SWEEP" "${ARGS[@]}" --jobs 2 --timing --journal "$WORK/timing.journal" \
-         --out "$WORK/timing.json"
-for K in 1 2; do
-    "$SWEEP" "${ARGS[@]}" --jobs 2 --shard "$K/2" \
-             --cost-from "$WORK/timing.journal" \
-             --journal "$WORK/cost$K.journal" --out "$WORK/cost$K.json"
-done
-"$SWEEP" "${ARGS[@]}" --merge "$WORK/cost1.journal" \
-         --merge "$WORK/cost2.journal" \
-         --out "$WORK/cost-merged.json" --csv "$WORK/cost-merged.csv"
-cmp "$WORK/full.json" "$WORK/cost-merged.json"
-cmp "$WORK/full.csv" "$WORK/cost-merged.csv"
-echo "OK: cost-planned shards merge to the single-machine bytes (json + csv)"
 
 echo "resume smoke: all checks passed"

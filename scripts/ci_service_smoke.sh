@@ -22,7 +22,11 @@
 #  7. corrupt state   - a request whose state word is garbage is skipped
 #                      and named in health.json's last_error; a queued
 #                      request beside it still completes byte-identically
-#                      and the service exits 3 (degraded).
+#                      and the service exits 3 (degraded);
+#  8. state write    - an injected fault on the first terminal state write
+#                      is retried on the next poll: exit 0, both requests
+#                      done and byte-identical, health totals count both,
+#                      and last_error names the request that met the fault.
 #
 # Usage: scripts/ci_service_smoke.sh [path-to-allarm_serve] [path-to-sweep]
 set -euo pipefail
@@ -35,14 +39,14 @@ trap 'rm -rf "$WORK"' EXIT
 REQ_A='{"grid": "quick", "seeds": 2, "seed": 42, "accesses": 400, "csv": true}'
 REQ_B='{"grid": "quick", "seeds": 2, "seed": 43, "accesses": 400}'
 
-echo "== 1/7 baseline (direct CLI sweeps) =="
+echo "== 1/8 baseline (direct CLI sweeps) =="
 "$SWEEP" --grid quick --seeds 2 --seed 42 --accesses 400 \
     --out "$WORK/ref-a.json" --csv "$WORK/ref-a.csv"
 "$SWEEP" --grid quick --seeds 2 --seed 43 --accesses 400 \
     --out "$WORK/ref-b.json"
 echo "OK: references written"
 
-echo "== 2/7 batch: enqueue two requests, run to idle =="
+echo "== 2/8 batch: enqueue two requests, run to idle =="
 SPOOL="$WORK/spool-batch"
 printf '%s' "$REQ_A" > "$WORK/req-a.json"
 printf '%s' "$REQ_B" > "$WORK/req-b.json"
@@ -60,7 +64,7 @@ grep -q '"done":2' "$SPOOL/health.json" \
     || { echo "FAIL: health.json missing done count"; cat "$SPOOL/health.json"; exit 1; }
 echo "OK: both requests done, reports byte-identical to the CLI"
 
-echo "== 3/7 SIGKILL mid-sweep, restart resumes through the journal =="
+echo "== 3/8 SIGKILL mid-sweep, restart resumes through the journal =="
 SPOOL="$WORK/spool-kill"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as victim
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 2> "$WORK/kill.log" &
@@ -79,7 +83,7 @@ esac
 cmp "$SPOOL/requests/victim/report.json" "$WORK/ref-a.json"
 echo "OK: killed at '$STATE', recovered byte-identical"
 
-echo "== 4/7 SIGTERM drains gracefully and the next start completes =="
+echo "== 4/8 SIGTERM drains gracefully and the next start completes =="
 SPOOL="$WORK/spool-drain"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as sleeper
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 --drain-ms 60000 \
@@ -99,7 +103,7 @@ ls "$SPOOL/requests/sleeper"/.tmp-* 2>/dev/null \
 cmp "$SPOOL/requests/sleeper/report.json" "$WORK/ref-a.json"
 echo "OK: drained with exit 0 at state '$STATE', completed byte-identical"
 
-echo "== 5/7 malformed request is rejected with its reason =="
+echo "== 5/8 malformed request is rejected with its reason =="
 SPOOL="$WORK/spool-reject"
 mkdir -p "$SPOOL/queue"
 printf '{"grid": "quick", "seedz": 2}' > "$SPOOL/queue/typo.json"
@@ -112,7 +116,7 @@ grep -q "seedz" "$SPOOL/requests/typo/error" \
     || { echo "FAIL: reject reason not recorded"; exit 1; }
 echo "OK: rejected with recorded reason, exit 3"
 
-echo "== 6/7 injected queue-scan fault heals on the next poll =="
+echo "== 6/8 injected queue-scan fault heals on the next poll =="
 SPOOL="$WORK/spool-fault"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-b.json" --as survivor
 "$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 50 \
@@ -124,7 +128,7 @@ grep -q "failpoint service.scan" "$WORK/fault.log" \
 cmp "$SPOOL/requests/survivor/report.json" "$WORK/ref-b.json"
 echo "OK: scan fault absorbed, request completed byte-identical"
 
-echo "== 7/7 a garbage state word is skipped, named, and degrades the exit =="
+echo "== 7/8 a garbage state word is skipped, named, and degrades the exit =="
 SPOOL="$WORK/spool-corrupt"
 mkdir -p "$SPOOL/requests/broken"
 printf '%s' "$REQ_B" > "$SPOOL/requests/broken/request.json"
@@ -141,5 +145,38 @@ cmp "$SPOOL/requests/healthy/report.json" "$WORK/ref-b.json"
 grep -q '"last_error":"broken: ' "$SPOOL/health.json" \
     || { echo "FAIL: last_error does not name broken"; cat "$SPOOL/health.json"; exit 1; }
 echo "OK: corrupt state skipped and named, neighbour completed byte-identical"
+
+echo "== 8/8 a failed terminal state write is retried on the next poll =="
+SPOOL="$WORK/spool-state"
+"$SWEEP" --grid quick --accesses 300 --out "$WORK/ref-300.json"
+"$SWEEP" --grid quick --accesses 3000 --out "$WORK/ref-3000.json"
+printf '{"grid": "quick", "accesses": 300}' > "$WORK/req-300.json"
+printf '{"grid": "quick", "accesses": 3000}' > "$WORK/req-3000.json"
+"$SERVE" --root "$SPOOL" --enqueue "$WORK/req-300.json" --as a
+"$SERVE" --root "$SPOOL" --enqueue "$WORK/req-3000.json" --as b
+# State writes 1 and 2 are the two `running` words; 3 is the first
+# terminal one.
+RC=0
+"$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --max-active 2 \
+    --poll-ms 20 --failpoints 'service.state=err@3' \
+    2> "$WORK/state.log" || RC=$?
+[ "$RC" -eq 0 ] || {
+    echo "FAIL: expected exit 0, got $RC"; cat "$WORK/state.log"; exit 1; }
+for ID in a b; do
+    [ "$(cat "$SPOOL/requests/$ID/state")" = "done" ] \
+        || { echo "FAIL: $ID not done"; cat "$WORK/state.log"; exit 1; }
+done
+cmp "$SPOOL/requests/a/report.json" "$WORK/ref-300.json"
+cmp "$SPOOL/requests/b/report.json" "$WORK/ref-3000.json"
+grep -q '"jobs_executed":8,.*"requests_finished":2' "$SPOOL/health.json" \
+    || { echo "FAIL: health totals"; cat "$SPOOL/health.json"; exit 1; }
+ID=$(sed -n 's/.*"last_error":"\([ab]\): state write failed: .*/\1/p' \
+    "$SPOOL/health.json")
+if [ -z "$ID" ] || ! grep -q "\"last_error\":\"$ID: [^\"]*/requests/$ID/state" \
+        "$SPOOL/health.json"; then
+    echo "FAIL: last_error does not name the faulted write"
+    cat "$SPOOL/health.json"; exit 1
+fi
+echo "OK: the write fault on '$ID' healed next poll, exit 0, both byte-identical"
 
 echo "ALL SERVICE SMOKES PASSED"

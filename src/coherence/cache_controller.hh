@@ -156,7 +156,6 @@ class CacheController {
   /// Sends Put messages for lines leaving the hierarchy.
   void emit_writebacks(const std::vector<cache::Victim>& victims, Tick t);
   void send_request(const PendingRequest& req, Tick t);
-  void finish_access(Tick t);
 
   NodeId node_;
   Fabric& fabric_;

@@ -70,9 +70,10 @@ struct RunResult {
   StatSet stats;                    ///< Flat metric map (see system.cc).
   /// Host wall-clock cost of producing this result, in nanoseconds
   /// (measured by core::run_request; 0 when never measured).  Execution
-  /// metadata, not science: reports exclude it unless explicitly asked
-  /// (JsonStreamSink timing mode), but the sweep journal records it so a
-  /// shard scheduler can size shards by measured cell cost.
+  /// metadata, not science: a report carries it only under `sweep
+  /// --timing` or the service request key "timing" (JsonStreamSink timing
+  /// mode).  The sweep journal records it, so resumed and merged jobs keep
+  /// it.
   std::uint64_t wall_ns = 0;
   /// Latency histograms recorded under RunOptions::profile, keyed by
   /// metric name ("access_latency_ns", "dir_occupancy", "mesh_queue_ns").

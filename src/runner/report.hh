@@ -34,8 +34,8 @@ class JsonStreamSink : public ResultSink {
   /// "wall_ns" summary (host wall-clock nanoseconds per replicate, from
   /// the journal / run_request measurement).  Off by default because
   /// wall clock varies run to run while the canonical report must be
-  /// byte-identical for one spec; enable it (sweep --timing) when feeding
-  /// a shard-sizing scheduler with measured cell costs.
+  /// byte-identical for one spec.  `sweep --timing` and the service
+  /// request key "timing" enable it.
   void set_include_timing(bool include) { include_timing_ = include; }
 
   /// Opt-in latency-profile section (sweep --profile): each cell with

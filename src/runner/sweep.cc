@@ -174,8 +174,8 @@ class CellFolder {
 
 /// The one journal reader: for each of the first `job_count` jobs, its
 /// latest record whose payload verified, so a damaged record never hides an
-/// intact earlier one.  Resume, merge and cost planning each apply only
-/// their own rule on top.
+/// intact earlier one.  Resume and merge each apply only their own rule on
+/// top.
 std::vector<std::optional<JournalEntry>> latest_records(
     const Journal& journal, std::uint64_t job_count) {
   std::vector<std::optional<JournalEntry>> latest(job_count);
@@ -295,87 +295,6 @@ void ShardSpec::validate() const {
                                 "/" + std::to_string(count) +
                                 " (want 1 <= K <= N)");
   }
-  for (const std::uint32_t owner : assignment) {
-    if (owner == 0 || owner > count) {
-      throw std::invalid_argument(
-          "shard assignment names shard " + std::to_string(owner) +
-          " outside 1.." + std::to_string(count));
-    }
-  }
-}
-
-std::vector<std::uint32_t> plan_shards(const std::vector<double>& cell_costs,
-                                       std::uint32_t shard_count) {
-  if (cell_costs.empty()) {
-    throw std::invalid_argument("plan_shards: no cells to assign");
-  }
-  if (shard_count == 0) {
-    throw std::invalid_argument("plan_shards: shard count must be positive");
-  }
-  // Greedy LPT: visit cells heaviest-first (ties by index, so the plan is a
-  // pure function of the cost vector), give each to the least-loaded shard
-  // (ties to the lowest shard index).
-  std::vector<std::uint64_t> order(cell_costs.size());
-  for (std::uint64_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              if (cell_costs[a] != cell_costs[b]) {
-                return cell_costs[a] > cell_costs[b];
-              }
-              return a < b;
-            });
-  std::vector<double> load(shard_count, 0.0);
-  std::vector<std::uint32_t> owner(cell_costs.size(), 0);
-  for (const std::uint64_t cell : order) {
-    std::uint32_t best = 0;
-    for (std::uint32_t s = 1; s < shard_count; ++s) {
-      if (load[s] < load[best]) best = s;
-    }
-    owner[cell] = best + 1;  // 1-based, the --shard K/N notation.
-    load[best] += std::max(cell_costs[cell], 0.0);
-  }
-  return owner;
-}
-
-std::vector<double> cell_costs_from_journal(const SweepSpec& spec,
-                                            const std::string& journal_path) {
-  validate_axes(spec);
-  const std::uint64_t job_count = spec.job_count();
-  Journal journal = Journal::open_read(journal_path);
-  if (journal.meta().job_count != job_count) {
-    throw std::runtime_error(
-        "journal " + journal_path + ": records " +
-        std::to_string(journal.meta().job_count) + " jobs but the spec has " +
-        std::to_string(job_count) + " — cost model needs the same grid shape");
-  }
-  // Failures carry no wall clock: they leave the job unmeasured, as do an
-  // unreadable payload and a record journaled before timing existed.
-  const std::vector<std::optional<JournalEntry>> latest =
-      latest_records(journal, job_count);
-  std::vector<double> job_cost(job_count, -1.0);
-  double total = 0.0;
-  std::uint64_t measured = 0;
-  for (std::uint64_t j = 0; j < job_count; ++j) {
-    if (!latest[j] || latest[j]->failed) continue;
-    std::uint64_t wall_ns = 0;
-    try {
-      wall_ns = journal.read_payload(*latest[j]).wall_ns;
-    } catch (const std::exception&) {
-      continue;
-    }
-    if (wall_ns == 0) continue;
-    job_cost[j] = static_cast<double>(wall_ns);
-    total += job_cost[j];
-    ++measured;
-  }
-  // Holes take the mean measured job cost so a missing job never zeroes its
-  // cell (and a journal with no timing at all degrades to uniform costs).
-  const double mean = measured > 0 ? total / static_cast<double>(measured) : 1.0;
-  std::vector<double> costs(spec.cell_count(), 0.0);
-  for (std::uint64_t j = 0; j < job_count; ++j) {
-    costs[j / spec.replicates] += job_cost[j] >= 0.0 ? job_cost[j] : mean;
-  }
-  return costs;
 }
 
 std::uint64_t retry_backoff_ms(std::uint32_t base_ms, std::uint32_t attempt,
@@ -670,10 +589,10 @@ StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
   if (options.pool == nullptr) owned_pool.emplace(jobs_);
   ThreadPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
   Outcomes outcomes;
+  // The admission window: issued-but-unfolded jobs, which bounds peak
+  // residency at O(jobs) instead of O(grid).
   const std::size_t window =
-      options.max_outstanding > 0
-          ? options.max_outstanding
-          : std::max<std::size_t>(16, std::size_t{4} * pool.worker_count());
+      std::max<std::size_t>(16, std::size_t{4} * pool.worker_count());
 
   // Stage 4, the grid-order fold, and its in-flight bookkeeping — all
   // owned by this (the folding) thread.

@@ -204,55 +204,16 @@ struct SweepResult {
 struct ShardSpec {
   std::uint32_t index = 1;
   std::uint32_t count = 1;
-  /// Optional explicit partition: assignment[cell] is the owning shard
-  /// (1-based), one entry per grid cell.  Empty = round-robin by cell.
-  /// Built by plan_shards() from measured per-cell costs so one slow cell
-  /// stops gating every shard's wall clock.  The assignment is NOT stored
-  /// in the journal header — resuming a planned shard requires recomputing
-  /// the same assignment (same cost journal), which plan_shards makes
-  /// deterministic, and a resume under another plan throws on the first
-  /// record its shard no longer owns; --merge never checks ownership, so
-  /// merging planned shards needs nothing extra.
-  std::vector<std::uint32_t> assignment;
 
   /// True when this shard owns cell `cell_index` (round-robin by cell, so
-  /// adjacent — similarly expensive — cells spread across shards; with an
-  /// explicit assignment, whatever the plan says).
+  /// adjacent — similarly expensive — cells spread across shards).
   bool owns_cell(std::uint64_t cell_index) const {
-    if (!assignment.empty()) {
-      return cell_index < assignment.size() &&
-             assignment[cell_index] == index;
-    }
     return cell_index % count == static_cast<std::uint64_t>(index) - 1;
   }
 
-  /// Throws std::invalid_argument unless 1 <= index <= count and every
-  /// assignment entry (when present) names a shard in [1, count].
+  /// Throws std::invalid_argument unless 1 <= index <= count.
   void validate() const;
 };
-
-/// Deterministic cost-aware shard plan: assigns each cell to a shard by
-/// greedy longest-processing-time-first (heaviest cell to the least-loaded
-/// shard; ties broken by cell index, then lowest shard index), so measured
-/// stragglers spread instead of landing round-robin on one machine.
-/// `cell_costs` is one positive weight per cell (relative units — only
-/// ratios matter).  Returns a 1-based owner per cell, usable as
-/// ShardSpec::assignment.  Throws std::invalid_argument on an empty cost
-/// vector or shard_count == 0.
-std::vector<std::uint32_t> plan_shards(const std::vector<double>& cell_costs,
-                                       std::uint32_t shard_count);
-
-/// Measured per-cell costs from a prior journal of the SAME GRID SHAPE:
-/// the sum of each cell's journaled per-job wall_ns, read from each job's
-/// latest intact record (quarantined, unreadable, untimed or missing jobs
-/// contribute the mean measured job cost so a hole never zeroes a cell).
-/// The journal does not need to match the spec's hash — costs are
-/// advisory (a cheaper timing run of the same grid plans a full run fine);
-/// a wrong cost model only unbalances shards, it never changes a byte of
-/// output.  Throws when the journal's job count
-/// differs from the spec's.
-std::vector<double> cell_costs_from_journal(const SweepSpec& spec,
-                                            const std::string& journal_path);
 
 /// Options for run_streaming().
 struct StreamOptions {
@@ -262,10 +223,6 @@ struct StreamOptions {
   /// run_streaming).
   std::string journal_path;
   ShardSpec shard;
-  /// Upper bound on jobs in flight plus finished-but-unfolded results —
-  /// the knob that makes peak residency O(jobs) instead of O(grid).
-  /// 0 = 4x the worker count (at least 16).
-  std::size_t max_outstanding = 0;
 
   // --- Self-healing knobs (docs/ROBUSTNESS.md) ----------------------------
   //
@@ -323,9 +280,9 @@ struct StreamStats {
   std::uint64_t cells_emitted = 0;
   /// Max count of RunResults resident at once (in flight, awaiting the
   /// grid-order fold, or folded into the partially-assembled cell).
-  /// Bounded by StreamOptions::max_outstanding + (replicates - 1): a
-  /// result moved into the current cell leaves the admission window but
-  /// stays resident until the cell's last replicate emits it.
+  /// Bounded by the admission window, max(16, 4 x the pool's workers), plus
+  /// (replicates - 1): a result moved into the current cell leaves the
+  /// window but stays resident until the cell's last replicate emits it.
   std::size_t peak_resident_results = 0;
   /// Jobs quarantined after exhausting retries (0 on a healthy sweep;
   /// non-zero means the report is degraded — see docs/ROBUSTNESS.md).

@@ -30,23 +30,36 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// What one request's driver thread concluded.  kDrained means the run
-/// checkpointed mid-flight (state stays running; a restart resumes it).
-enum class Outcome { kDone, kQuarantined, kFailed, kDrained };
-
 /// One running request: the driver thread executes run_streaming against
 /// the shared pool; the main loop polls `progress` for health and reaps
 /// the thread once `finished` flips.
 struct Active {
   std::string id;
-  std::uint64_t cells = 0;
   std::uint64_t jobs_total = 0;
   std::atomic<std::uint64_t> progress{0};
   std::atomic<bool> finished{false};
-  Outcome outcome = Outcome::kFailed;  ///< Valid once `finished` is true.
-  std::string error;                   ///< Same.
-  runner::StreamStats stats;           ///< Same.
+  /// The state word the run ended in, valid once `finished` is true: done,
+  /// quarantined or failed, or running when it drained (the journal holds
+  /// its work and a restart resumes it).
+  RequestState outcome = RequestState::kFailed;
+  std::string error;          ///< The word's reason; same.
+  runner::StreamStats stats;  ///< Same.
   std::thread thread;
+};
+
+/// The running requests and the stop flag their drivers watch.  Every way
+/// out of Service::run raises the flag and joins every driver before the
+/// entries go away: destroying a joinable std::thread ends the process.
+struct Drivers {
+  std::atomic<bool> halt{false};
+  std::vector<std::unique_ptr<Active>> active;
+
+  ~Drivers() {
+    halt.store(true, std::memory_order_relaxed);
+    for (const auto& entry : active) {
+      if (entry->thread.joinable()) entry->thread.join();
+    }
+  }
 };
 
 /// A loaded pending or running request that is not active yet: parsed
@@ -157,15 +170,19 @@ void drive_request(const Spool& spool, const runner::SweepRunner& runner,
     active.stats = runner.run_streaming(spec, reports.sink(), options);
     if (active.stats.drained) {
       reports.discard();  // Torn by design; the journal carries the work.
-      active.outcome = Outcome::kDrained;
+      active.outcome = RequestState::kRunning;
     } else {
       reports.commit();
-      active.outcome = active.stats.jobs_failed > 0 ? Outcome::kQuarantined
-                                                    : Outcome::kDone;
+      active.outcome = RequestState::kDone;
+      if (active.stats.jobs_failed > 0) {
+        active.outcome = RequestState::kQuarantined;
+        active.error =
+            std::to_string(active.stats.jobs_failed) + " jobs quarantined";
+      }
     }
   } catch (const std::exception& e) {
     active.error = e.what();
-    active.outcome = Outcome::kFailed;
+    active.outcome = RequestState::kFailed;
   }
   active.finished.store(true, std::memory_order_release);
 }
@@ -182,7 +199,8 @@ int Service::run(const std::atomic<bool>& stop) {
   const runner::SweepRunner runner(workers);
   const auto started = Clock::now();
 
-  std::vector<std::unique_ptr<Active>> active;
+  Drivers drivers;
+  std::vector<std::unique_ptr<Active>>& active = drivers.active;
   std::string last_error;
   bool saw_degraded = false;
   Clock::time_point drain_started{};
@@ -292,13 +310,13 @@ int Service::run(const std::atomic<bool>& stop) {
     OBS_SPAN("service.admit", "service");
     auto entry = std::make_unique<Active>();
     entry->id = id;
-    entry->cells = request.spec.cell_count();
     entry->jobs_total = request.spec.job_count();
     transition(id, RequestState::kRunning);
     Active& ref = *entry;
+    const std::atomic<bool>& halt = drivers.halt;
     entry->thread = std::thread(
-        [&spool, &runner, &pool, &stop, &ref, request = std::move(request)] {
-          drive_request(spool, runner, pool, stop, request.request,
+        [&spool, &runner, &pool, &halt, &ref, request = std::move(request)] {
+          drive_request(spool, runner, pool, halt, request.request,
                         request.spec, ref);
         });
     std::cerr << "[serve] " << id << ": running (" << ref.jobs_total
@@ -412,50 +430,52 @@ int Service::run(const std::atomic<bool>& stop) {
     if (draining && !drain_logged) {
       drain_logged = true;
       drain_started = Clock::now();
+      drivers.halt.store(true, std::memory_order_relaxed);
       std::cerr << "[serve] drain requested; checkpointing "
                 << active.size() << " running request(s)\n";
     }
 
-    // Reap finished drivers and commit their terminal states.
+    // Reap finished drivers and commit their terminal states.  A drained
+    // run writes none: it stays `running`, its journal holds every
+    // finished job, and the next start resumes it.  A terminal write that
+    // fails keeps the joined entry for the next poll, and a run enters the
+    // lifetime totals only once its word is durable.
     for (std::size_t i = 0; i < active.size();) {
       Active& entry = *active[i];
       if (!entry.finished.load(std::memory_order_acquire)) {
         ++i;
         continue;
       }
-      entry.thread.join();
-      // Fold the finished run into the lifetime totals (kFailed from the
-      // exception path carries default-zero stats, which is correct).
+      if (entry.thread.joinable()) entry.thread.join();
+      if (entry.outcome != RequestState::kRunning) {
+        try {
+          transition(entry.id, entry.outcome, entry.error);
+        } catch (const std::exception& e) {
+          last_error = entry.id + ": state write failed: " + e.what();
+          std::cerr << "[serve] " << last_error << "\n";
+          ++i;
+          continue;
+        }
+        ++requests_finished_total;
+      }
+      // kFailed from the exception path carries default-zero stats.
       jobs_executed_total += entry.stats.jobs_executed;
       jobs_retried_total += entry.stats.jobs_retried;
       jobs_quarantined_total += entry.stats.jobs_failed;
-      if (entry.outcome != Outcome::kDrained) ++requests_finished_total;
-      switch (entry.outcome) {
-        case Outcome::kDone:
-          transition(entry.id, RequestState::kDone);
-          std::cerr << "[serve] " << entry.id << ": done ("
-                    << entry.stats.jobs_executed << " run, "
-                    << entry.stats.jobs_resumed << " resumed)\n";
-          break;
-        case Outcome::kQuarantined:
-          saw_degraded = true;
-          transition(entry.id, RequestState::kQuarantined,
-                     std::to_string(entry.stats.jobs_failed) +
-                         " jobs quarantined");
-          std::cerr << "[serve] " << entry.id << ": quarantined ("
-                    << entry.stats.jobs_failed << " failed jobs)\n";
-          break;
-        case Outcome::kFailed:
-          degrade(entry.id, "failed", entry.error);
-          transition(entry.id, RequestState::kFailed, entry.error);
-          break;
-        case Outcome::kDrained:
-          // State stays `running`: the journal holds every finished job
-          // and the next start resumes it.
-          std::cerr << "[serve] " << entry.id << ": drained at "
-                    << entry.progress.load(std::memory_order_relaxed) << "/"
-                    << entry.jobs_total << " jobs\n";
-          break;
+      if (entry.outcome == RequestState::kDone) {
+        std::cerr << "[serve] " << entry.id << ": done ("
+                  << entry.stats.jobs_executed << " run, "
+                  << entry.stats.jobs_resumed << " resumed)\n";
+      } else if (entry.outcome == RequestState::kQuarantined) {
+        saw_degraded = true;
+        std::cerr << "[serve] " << entry.id << ": quarantined ("
+                  << entry.stats.jobs_failed << " failed jobs)\n";
+      } else if (entry.outcome == RequestState::kFailed) {
+        degrade(entry.id, "failed", entry.error);
+      } else {
+        std::cerr << "[serve] " << entry.id << ": drained at "
+                  << entry.progress.load(std::memory_order_relaxed) << "/"
+                  << entry.jobs_total << " jobs\n";
       }
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
     }
@@ -514,26 +534,20 @@ int Service::run(const std::atomic<bool>& stop) {
       std::cerr << "[serve] queue scan failed: " << e.what() << "\n";
     }
 
-    // Schedule: activate waiting requests within the admission bounds, in
-    // id order.  Interrupted `running` requests go first, before new
-    // pending work, so accepted jobs finish ahead of new admissions.
-    std::uint64_t active_cells = 0;
-    for (const auto& entry : active) active_cells += entry->cells;
+    // Schedule: activate waiting requests up to --max-active, in id
+    // order.  Interrupted `running` requests go first, before new pending
+    // work, so accepted jobs finish ahead of new admissions.
     for (const RequestState wanted :
          {RequestState::kRunning, RequestState::kPending}) {
       for (auto it = waiting.begin();
            it != waiting.end() && active.size() < config_.max_active;) {
         const std::string& id = it->first;
-        const std::uint64_t cells = it->second.spec.cell_count();
-        if (states.at(id) != wanted ||
-            (config_.max_cells > 0 && !active.empty() &&
-             active_cells + cells > config_.max_cells)) {
-          ++it;  // Another pass's, or backpressure: waits for a later poll.
+        if (states.at(id) != wanted) {
+          ++it;  // The other pass's.
           continue;
         }
         try {
           activate(id, it->second);
-          active_cells += cells;
         } catch (const std::exception& e) {
           // Fails terminally rather than retrying every poll.
           if (!give_up(id, RequestState::kFailed, e.what())) {

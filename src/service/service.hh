@@ -17,9 +17,9 @@
 //    states stay `running` (resumed next start), health is current, exit
 //    is 0 — all inside a bounded deadline, past which the service falls
 //    back to a journal-safe hard abort.
-//  - Admission control bounds concurrent requests and their summed grid
-//    cells; excess work waits as `pending` (backpressure, not loss), and
-//    malformed requests become `rejected` with a recorded reason.
+//  - Admission control bounds concurrent requests; excess work waits as
+//    `pending` (backpressure, not loss), and malformed requests become
+//    `rejected` with a recorded reason.
 //  - Resubmitting an id re-runs it as a per-cell incremental re-sweep:
 //    the kept journal is rebound and only cells the edit invalidated run.
 #pragma once
@@ -59,10 +59,6 @@ struct ServiceConfig {
   std::string root;               ///< Spool root directory.
   std::uint32_t workers = 0;      ///< Shared pool size; 0 = core::bench_jobs().
   std::uint32_t max_active = 2;   ///< Concurrently running requests.
-  /// Bound on the summed grid cells of running requests (0 = unbounded).
-  /// A request larger than the whole budget still runs — alone — so an
-  /// oversized grid queues instead of starving forever.
-  std::uint64_t max_cells = 0;
   std::uint32_t poll_ms = 200;    ///< Queue/health poll cadence.
   /// Graceful-drain budget after SIGTERM; past it the service hard-aborts
   /// (journal-safe: appends are crash-atomic at any byte).

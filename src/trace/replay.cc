@@ -70,11 +70,4 @@ workload::WorkloadSpec make_replay_workload(
   return spec;
 }
 
-workload::WorkloadSpec load_replay_workload(const std::string& path,
-                                            const SystemConfig& config,
-                                            std::uint32_t cores) {
-  return make_replay_workload(std::make_shared<TraceReader>(path), config,
-                              cores);
-}
-
 }  // namespace allarm::trace

@@ -1,9 +1,9 @@
 // Tests for the crash-safe sweep service: the strict JSON request parser,
 // the file spool (atomic enqueue, admission, durable state machine), the
-// admission/scheduling pieces of the runner (plan_shards, retry jitter),
-// drain semantics, shared-pool multiplexing, and the Service loop
-// end-to-end through the built-in grids, including its request table
-// (file opens per poll, an unreadable state word).
+// runner's retry jitter, drain semantics, shared-pool multiplexing, and
+// the Service loop end-to-end through the built-in grids, including its
+// request table (file opens per poll, an unreadable state word) and a
+// failed terminal state write.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -297,31 +297,6 @@ TEST(Spool, FailpointsCoverScanStateAndHealth) {
 
 // ---------------------------------------------------- scheduling helpers ----
 
-TEST(PlanShards, LptBalancesAndIsDeterministic) {
-  const std::vector<double> costs = {10.0, 1.0, 1.0, 1.0, 9.0, 1.0, 1.0, 8.0};
-  const std::vector<std::uint32_t> plan = runner::plan_shards(costs, 3);
-  ASSERT_EQ(plan.size(), costs.size());
-  std::vector<double> load(3, 0.0);
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    ASSERT_GE(plan[i], 1u);
-    ASSERT_LE(plan[i], 3u);
-    load[plan[i] - 1] += costs[i];
-  }
-  // LPT on these costs: the three heavy cells split across shards and the
-  // light ones fill in — no shard carries two heavies.
-  for (const double l : load) {
-    EXPECT_GE(l, 8.0);
-    EXPECT_LE(l, 12.0);
-  }
-  EXPECT_EQ(plan, runner::plan_shards(costs, 3));  // Pure function.
-  EXPECT_THROW(runner::plan_shards({}, 3), std::invalid_argument);
-  EXPECT_THROW(runner::plan_shards(costs, 0), std::invalid_argument);
-  // One shard owns everything.
-  for (const std::uint32_t owner : runner::plan_shards(costs, 1)) {
-    EXPECT_EQ(owner, 1u);
-  }
-}
-
 TEST(RetryBackoff, DeterministicJitterWithinRange) {
   EXPECT_EQ(runner::retry_backoff_ms(0, 3, 17), 0u);  // No budget, no wait.
   EXPECT_EQ(runner::retry_backoff_ms(100, 0, 17), 0u);
@@ -566,6 +541,52 @@ TEST(Service, AdmissionFaultAfterTheCommitRenameStillRunsTheRequest) {
   service::Spool spool(root);
   EXPECT_TRUE(spool.queued().empty());
   EXPECT_EQ(spool.state("late"), service::RequestState::kDone);
+}
+
+TEST(Service, FailedTerminalStateWriteIsRetriedNextPoll) {
+  // State writes 1 and 2 are the two `running` words; the third is the
+  // first terminal word, which fails once.  The service keeps that run for
+  // the next poll instead of aborting with the other driver still live.
+  const std::string root = temp_path("spool");
+  remove_tree(root);
+  service::Spool::enqueue(root, "a", R"({"grid": "quick", "accesses": 300})");
+  service::Spool::enqueue(root, "b", R"({"grid": "quick", "accesses": 3000})");
+
+  service::ServiceConfig config;
+  config.root = root;
+  config.workers = 2;
+  config.max_active = 2;
+  config.poll_ms = 1;
+  config.exit_when_idle = true;
+  std::atomic<bool> stop{false};
+  {
+    failpoint::Scoped guard("service.state=err@3");
+    EXPECT_EQ(service::Service(config).run(stop), 0);
+  }
+
+  service::Spool spool(root);
+  for (const char* id : {"a", "b"}) {
+    EXPECT_EQ(spool.state(id), service::RequestState::kDone) << id;
+    const service::Request request =
+        service::parse_request(read_file(spool.request_json(id)));
+    EXPECT_EQ(read_file(spool.report_json(id)),
+              stream_json(service::spec_of(request), 2))
+        << id;
+  }
+  const service::JsonValue health =
+      service::parse_json(read_file(spool.health_path()));
+  const service::JsonValue& totals = *health.find("totals");
+  EXPECT_EQ(totals.find("jobs_executed")->as_u64("jobs_executed"), 8u);
+  EXPECT_EQ(totals.find("requests_finished")->as_u64("requests_finished"),
+            2u);
+  // Whichever run finished first met the fault: last_error names it and
+  // the state file whose write failed.
+  const std::string last_error = health.find("last_error")->string;
+  const std::string id = last_error.substr(0, last_error.find(':'));
+  EXPECT_TRUE(id == "a" || id == "b") << last_error;
+  EXPECT_NE(last_error.find(spool.request_dir(id) + "/state"),
+            std::string::npos)
+      << last_error;
 }
 
 TEST(Service, RejectsMalformedRequestAndExitsDegraded) {
