@@ -26,7 +26,13 @@
 #  8. state write    - an injected fault on the first terminal state write
 #                      is retried on the next poll: exit 0, both requests
 #                      done and byte-identical, health totals count both,
-#                      and last_error names the request that met the fault.
+#                      and last_error names the request that met the fault;
+#  9. resume gauge   - an unchanged request resubmitted after it finished
+#                      resumes every job from its journal while polls
+#                      sample it mid-run: health.json's jobs_per_s and
+#                      metrics.prom's allarm_jobs_per_second stay finite
+#                      and below 10^6, and the report is byte-identical to
+#                      the first run's.
 #
 # Usage: scripts/ci_service_smoke.sh [path-to-allarm_serve] [path-to-sweep]
 set -euo pipefail
@@ -39,14 +45,14 @@ trap 'rm -rf "$WORK"' EXIT
 REQ_A='{"grid": "quick", "seeds": 2, "seed": 42, "accesses": 400, "csv": true}'
 REQ_B='{"grid": "quick", "seeds": 2, "seed": 43, "accesses": 400}'
 
-echo "== 1/8 baseline (direct CLI sweeps) =="
+echo "== 1/9 baseline (direct CLI sweeps) =="
 "$SWEEP" --grid quick --seeds 2 --seed 42 --accesses 400 \
     --out "$WORK/ref-a.json" --csv "$WORK/ref-a.csv"
 "$SWEEP" --grid quick --seeds 2 --seed 43 --accesses 400 \
     --out "$WORK/ref-b.json"
 echo "OK: references written"
 
-echo "== 2/8 batch: enqueue two requests, run to idle =="
+echo "== 2/9 batch: enqueue two requests, run to idle =="
 SPOOL="$WORK/spool-batch"
 printf '%s' "$REQ_A" > "$WORK/req-a.json"
 printf '%s' "$REQ_B" > "$WORK/req-b.json"
@@ -64,7 +70,7 @@ grep -q '"done":2' "$SPOOL/health.json" \
     || { echo "FAIL: health.json missing done count"; cat "$SPOOL/health.json"; exit 1; }
 echo "OK: both requests done, reports byte-identical to the CLI"
 
-echo "== 3/8 SIGKILL mid-sweep, restart resumes through the journal =="
+echo "== 3/9 SIGKILL mid-sweep, restart resumes through the journal =="
 SPOOL="$WORK/spool-kill"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as victim
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 2> "$WORK/kill.log" &
@@ -83,7 +89,7 @@ esac
 cmp "$SPOOL/requests/victim/report.json" "$WORK/ref-a.json"
 echo "OK: killed at '$STATE', recovered byte-identical"
 
-echo "== 4/8 SIGTERM drains gracefully and the next start completes =="
+echo "== 4/9 SIGTERM drains gracefully and the next start completes =="
 SPOOL="$WORK/spool-drain"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-a.json" --as sleeper
 "$SERVE" --root "$SPOOL" --workers 2 --poll-ms 20 --drain-ms 60000 \
@@ -103,7 +109,7 @@ ls "$SPOOL/requests/sleeper"/.tmp-* 2>/dev/null \
 cmp "$SPOOL/requests/sleeper/report.json" "$WORK/ref-a.json"
 echo "OK: drained with exit 0 at state '$STATE', completed byte-identical"
 
-echo "== 5/8 malformed request is rejected with its reason =="
+echo "== 5/9 malformed request is rejected with its reason =="
 SPOOL="$WORK/spool-reject"
 mkdir -p "$SPOOL/queue"
 printf '{"grid": "quick", "seedz": 2}' > "$SPOOL/queue/typo.json"
@@ -116,7 +122,7 @@ grep -q "seedz" "$SPOOL/requests/typo/error" \
     || { echo "FAIL: reject reason not recorded"; exit 1; }
 echo "OK: rejected with recorded reason, exit 3"
 
-echo "== 6/8 injected queue-scan fault heals on the next poll =="
+echo "== 6/9 injected queue-scan fault heals on the next poll =="
 SPOOL="$WORK/spool-fault"
 "$SERVE" --root "$SPOOL" --enqueue "$WORK/req-b.json" --as survivor
 "$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 50 \
@@ -128,7 +134,7 @@ grep -q "failpoint service.scan" "$WORK/fault.log" \
 cmp "$SPOOL/requests/survivor/report.json" "$WORK/ref-b.json"
 echo "OK: scan fault absorbed, request completed byte-identical"
 
-echo "== 7/8 a garbage state word is skipped, named, and degrades the exit =="
+echo "== 7/9 a garbage state word is skipped, named, and degrades the exit =="
 SPOOL="$WORK/spool-corrupt"
 mkdir -p "$SPOOL/requests/broken"
 printf '%s' "$REQ_B" > "$SPOOL/requests/broken/request.json"
@@ -146,7 +152,7 @@ grep -q '"last_error":"broken: ' "$SPOOL/health.json" \
     || { echo "FAIL: last_error does not name broken"; cat "$SPOOL/health.json"; exit 1; }
 echo "OK: corrupt state skipped and named, neighbour completed byte-identical"
 
-echo "== 8/8 a failed terminal state write is retried on the next poll =="
+echo "== 8/9 a failed terminal state write is retried on the next poll =="
 SPOOL="$WORK/spool-state"
 "$SWEEP" --grid quick --accesses 300 --out "$WORK/ref-300.json"
 "$SWEEP" --grid quick --accesses 3000 --out "$WORK/ref-3000.json"
@@ -178,5 +184,34 @@ if [ -z "$ID" ] || ! grep -q "\"last_error\":\"$ID: [^\"]*/requests/$ID/state" \
     cat "$SPOOL/health.json"; exit 1
 fi
 echo "OK: the write fault on '$ID' healed next poll, exit 0, both byte-identical"
+
+echo "== 9/9 the jobs/s gauge stays finite across a resumed request =="
+SPOOL="$WORK/spool-gauge"
+# 24 jobs outnumber the admission window of 16, so the resume folds
+# between payload reads; each read sleeps 20 ms, so polls sample it.
+printf '{"grid": "quick", "seeds": 6, "accesses": 300}' > "$WORK/req-gauge.json"
+"$SERVE" --root "$SPOOL" --enqueue "$WORK/req-gauge.json" --as g
+"$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 20
+cp "$SPOOL/requests/g/report.json" "$WORK/gauge-first.json"
+"$SERVE" --root "$SPOOL" --enqueue "$WORK/req-gauge.json" --as g
+"$SERVE" --root "$SPOOL" --exit-when-idle --workers 2 --poll-ms 1 \
+    --failpoints 'journal.read_payload=delay.20@1:0' 2> "$WORK/gauge.log"
+grep -q "g: done (0 run, 24 resumed)" "$WORK/gauge.log" \
+    || { echo "FAIL: the resubmitted request did not resume"; cat "$WORK/gauge.log"; exit 1; }
+cmp "$SPOOL/requests/g/report.json" "$WORK/gauge-first.json"
+python3 - "$SPOOL" <<'EOF'
+import json, math, sys
+root = sys.argv[1]
+rates = {"jobs_per_s": json.load(open(root + "/health.json"))["jobs_per_s"]}
+for line in open(root + "/metrics.prom"):
+    if line.startswith("allarm_jobs_per_second "):
+        rates["allarm_jobs_per_second"] = float(line.split()[1])
+assert len(rates) == 2, f"a gauge is missing: {rates}"
+for name, value in rates.items():
+    assert isinstance(value, (int, float)) and math.isfinite(value) \
+        and 0 <= value < 1e6, f"FAIL: {name} = {value!r}"
+print(f"OK: gauges finite after the resume: {rates}")
+EOF
+echo "OK: resumed byte-identical, the jobs/s gauge did not wrap"
 
 echo "ALL SERVICE SMOKES PASSED"

@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace allarm::cache {
@@ -79,7 +80,6 @@ Victim Cache::insert(LineAddr line, LineState state) {
     base[free_way] = pack(line, state);
     policy_touch(set, free_way);
     ++occupancy_;
-    if (presence_ != nullptr) presence_->add(line);
     return Victim{};
   }
 
@@ -89,10 +89,6 @@ Victim Cache::insert(LineAddr line, LineState state) {
   const Victim victim{line_of_way(base[w]), state_of_way(base[w])};
   base[w] = pack(line, state);
   policy_touch(set, w);
-  if (presence_ != nullptr) {
-    presence_->add(line);
-    presence_->remove(victim.line);
-  }
   return victim;
 }
 
@@ -102,7 +98,6 @@ LineState Cache::erase(LineAddr line) {
   const LineState had = state_of_way(*way);
   *way = 0;
   --occupancy_;
-  if (presence_ != nullptr) presence_->remove(line);
   return had;
 }
 
@@ -113,10 +108,7 @@ void Cache::for_each(FunctionRef<void(LineAddr, LineState)> fn) const {
 }
 
 void Cache::clear() {
-  for (std::uint64_t& way : slots_) {
-    if (presence_ != nullptr && way != 0) presence_->remove(line_of_way(way));
-    way = 0;
-  }
+  std::fill(slots_.begin(), slots_.end(), 0);
   occupancy_ = 0;
 }
 

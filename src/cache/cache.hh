@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/presence.hh"
 #include "cache/replacement.hh"
 #include "common/config.hh"
 #include "common/function_ref.hh"
@@ -102,10 +101,6 @@ class Cache {
   /// Hierarchy::downgrade.
   StateRef state_ref(LineAddr line) { return StateRef(find_way(line)); }
 
-  /// Registers the hierarchy-level presence filter this array reports its
-  /// inserts and erases to (nullptr detaches).
-  void set_presence_filter(PresenceFilter* filter) { presence_ = filter; }
-
   /// Inserts `line` (which must not already be present) in `state`.
   /// Returns the victim that was displaced; victim.valid() is false when a
   /// free way was used.
@@ -164,7 +159,6 @@ class Cache {
   std::vector<std::uint64_t> slots_;  // sets x ways, packed
   std::unique_ptr<ReplacementPolicy> policy_;
   LruPolicy* lru_ = nullptr;  ///< Non-null iff policy_ is the LRU policy.
-  PresenceFilter* presence_ = nullptr;  ///< Shared, owned by the hierarchy.
   std::uint32_t occupancy_ = 0;
 };
 

@@ -18,11 +18,7 @@ Hierarchy::Hierarchy(const SystemConfig& config, std::uint64_t seed,
                      const std::string& name)
     : l1d_(config.l1d, config.cache_replacement, seed * 3 + 1, name + ".l1d"),
       l1i_(config.l1i, config.cache_replacement, seed * 3 + 2, name + ".l1i"),
-      l2_(config.l2, config.cache_replacement, seed * 3 + 3, name + ".l2") {
-  l1d_.set_presence_filter(&presence_);
-  l1i_.set_presence_filter(&presence_);
-  l2_.set_presence_filter(&presence_);
-}
+      l2_(config.l2, config.cache_replacement, seed * 3 + 3, name + ".l2") {}
 
 Cache& Hierarchy::array_of(Array a) {
   switch (a) {
@@ -35,20 +31,13 @@ Cache& Hierarchy::array_of(Array a) {
 }
 
 Location Hierarchy::locate(LineAddr line) const {
-  if (!presence_.maybe_present(line)) return {};
   if (LineState s = l1d_.state_of(line); is_valid(s)) return {Array::kL1D, s};
   if (LineState s = l1i_.state_of(line); is_valid(s)) return {Array::kL1I, s};
   if (LineState s = l2_.state_of(line); is_valid(s)) return {Array::kL2, s};
   return {};
 }
 
-void Hierarchy::touch(LineAddr line) {
-  if (!presence_.maybe_present(line)) return;
-  if (!l1d_.touch(line) && !l1i_.touch(line)) l2_.touch(line);
-}
-
 StateRef Hierarchy::touch_ref(LineAddr line) {
-  if (!presence_.maybe_present(line)) return StateRef();
   if (StateRef s = l1d_.touch_ref(line)) return s;
   if (StateRef s = l1i_.touch_ref(line)) return s;
   return l2_.touch_ref(line);
@@ -64,11 +53,16 @@ void Hierarchy::insert_cascading(Array target, LineAddr line, LineState state,
 
 const std::vector<Victim>& Hierarchy::fill(Array target, LineAddr line,
                                            LineState state) {
-  if (target != Array::kL1D && target != Array::kL1I) {
-    throw std::invalid_argument("Hierarchy::fill: target must be an L1");
-  }
   if (locate(line).present()) {
     throw std::logic_error("Hierarchy::fill: line already present");
+  }
+  return fill_absent(target, line, state);
+}
+
+const std::vector<Victim>& Hierarchy::fill_absent(Array target, LineAddr line,
+                                                  LineState state) {
+  if (target != Array::kL1D && target != Array::kL1I) {
+    throw std::invalid_argument("Hierarchy::fill: target must be an L1");
   }
   victims_scratch_.clear();
   insert_cascading(target, line, state, victims_scratch_);
@@ -89,7 +83,6 @@ const std::vector<Victim>& Hierarchy::promote(Array target, LineAddr line) {
 }
 
 LineState Hierarchy::invalidate(LineAddr line) {
-  if (!presence_.maybe_present(line)) return LineState::kInvalid;
   // L2 first: invalidations come from probes, and probed lines mostly sit
   // in the (8x larger) L2 by the time a remote conflict or eviction finds
   // them.  Strict exclusivity means scan order cannot change the result.
@@ -98,11 +91,10 @@ LineState Hierarchy::invalidate(LineAddr line) {
   return l1i_.erase(line);
 }
 
-/// State handle of `line`, or null — one presence check and at most three
-/// tag scans, shared by downgrade/set_state so a hit is a single pass
-/// instead of locate()-then-rescan.
+/// State handle of `line`, or null — at most three tag scans, shared by
+/// downgrade/set_state so a hit is a single pass instead of
+/// locate()-then-rescan.
 StateRef Hierarchy::state_ref(LineAddr line) {
-  if (!presence_.maybe_present(line)) return StateRef();
   if (StateRef s = l1d_.state_ref(line)) return s;
   if (StateRef s = l1i_.state_ref(line)) return s;
   return l2_.state_ref(line);

@@ -39,11 +39,9 @@ class Hierarchy {
   /// Finds `line` (no side effects).
   Location locate(LineAddr line) const;
 
-  /// Replacement bookkeeping for a hit on `line`.
-  void touch(LineAddr line);
-
-  /// touch(), returning a handle to the line's state (null when absent).
-  /// Single tag scan for the core's L1-hit fast path.
+  /// Replacement bookkeeping for a hit on `line`, returning a handle to the
+  /// line's state (null when absent): one lookup for the core's L1-hit
+  /// path and for a grant to a line still held.
   StateRef touch_ref(LineAddr line);
 
   /// Inserts `line` into `target` (must be kL1D or kL1I, and the line must
@@ -53,6 +51,12 @@ class Hierarchy {
   /// (this keeps the per-miss path free of vector allocations).
   const std::vector<Victim>& fill(Array target, LineAddr line,
                                   LineState state);
+
+  /// fill() for a caller whose own lookup has just found `line` absent:
+  /// skips the three-array presence check (the target array still rejects
+  /// a duplicate in its set).
+  const std::vector<Victim>& fill_absent(Array target, LineAddr line,
+                                         LineState state);
 
   /// Moves a line that hit in the L2 up into `target` (kL1D or kL1I),
   /// preserving its state.  Returns lines pushed out of the hierarchy
@@ -96,11 +100,6 @@ class Hierarchy {
   void insert_cascading(Array target, LineAddr line, LineState state,
                         std::vector<Victim>& out);
 
-  /// Presence filter across all three arrays: broadcast probes for lines
-  /// this node never held (the common case under Hammer semantics) skip
-  /// the tag scans entirely.  Declared before the arrays, which register
-  /// themselves against it at construction.
-  PresenceFilter presence_;
   Cache l1d_;
   Cache l1i_;
   Cache l2_;

@@ -57,13 +57,13 @@ void CacheController::emit_writebacks(const std::vector<cache::Victim>& victims,
   }
 }
 
-void CacheController::send_request(const PendingRequest& req, Tick t) {
+void CacheController::send_request(const PendingRequest& req, bool has_line,
+                                   Tick t) {
   const MsgKind kind = req.write ? MsgKind::kGetM : MsgKind::kGetS;
   const NodeId home = fabric_.home_of(addr_of_line(req.line));
   ALLARM_LOG_TRACE("cache", node_, " issues ", to_string(kind), " line=",
                    req.line, " home=", home);
-  const Request out{req.line, node_, req.write,
-                    hierarchy_.locate(req.line).present(), req.issued};
+  const Request out{req.line, node_, req.write, has_line, req.issued};
   const Tick t_arr =
       fabric_.mesh->send(node_, home, size_of(kind, *fabric_.config), t,
                          noc::TrafficCause::kRequest);
@@ -103,10 +103,10 @@ void CacheController::core_access(AccessType type, Addr paddr, DoneFn done) {
         if (write) hierarchy_.set_state(line, LineState::kModified);
       } else if (write && loc.array == Array::kL1I) {
         // Store to a line sitting in the L1I: migrate it to the L1D.
-        const LineState had = hierarchy_.invalidate(line);
-        emit_writebacks(hierarchy_.fill(Array::kL1D, line, had), t);
+        hierarchy_.invalidate(line);
+        emit_writebacks(
+            hierarchy_.fill_absent(Array::kL1D, line, LineState::kModified), t);
         ++stats_.l1_hits;
-        hierarchy_.set_state(line, LineState::kModified);
       } else {
         // The common L1 hit: one combined tag-scan/touch, and stores
         // rewrite the state through the returned handle.
@@ -134,7 +134,7 @@ void CacheController::core_access(AccessType type, Addr paddr, DoneFn done) {
   t = acquire(t, fabric_.config->l2.latency);  // L2 tag check on the way out.
   ++stats_.misses;
   pending_ = PendingRequest{line, type, write, now, std::move(done)};
-  send_request(*pending_, t);
+  send_request(*pending_, loc.present(), t);
 }
 
 ProbeResult CacheController::probe(LineAddr line, ProbeOp op, Tick now) {
@@ -172,17 +172,16 @@ void CacheController::grant(LineAddr line, LineState state, bool with_data,
   const Array want =
       pending_->type == AccessType::kInstFetch ? Array::kL1I : Array::kL1D;
 
-  if (hierarchy_.locate(line).present()) {
+  // One lookup decides: a line still held is touched and rewritten through
+  // its handle, an absent one is filled.
+  if (const cache::StateRef held = hierarchy_.touch_ref(line)) {
     // Upgrade: the clean copy is still here; only the state changes.
-    hierarchy_.set_state(line, state);
-    hierarchy_.touch(line);
-  } else if (with_data) {
-    emit_writebacks(hierarchy_.fill(want, line, state), t);
+    held.set(state);
   } else {
-    // A data-less grant for a line we no longer hold: a protocol leak the
-    // tests assert never happens.  Fill anyway to keep the run alive.
-    ++stats_.upgrade_without_line;
-    emit_writebacks(hierarchy_.fill(want, line, state), t);
+    // A data-less grant for a line we no longer hold is a protocol leak
+    // the tests assert never happens.  Fill anyway to keep the run alive.
+    if (!with_data) ++stats_.upgrade_without_line;
+    emit_writebacks(hierarchy_.fill_absent(want, line, state), t);
   }
 
   ALLARM_LOG_TRACE("cache", node_, " granted line=", line, " state=",

@@ -155,7 +155,8 @@ class CacheController {
   Tick acquire(Tick now, Tick duration);
   /// Sends Put messages for lines leaving the hierarchy.
   void emit_writebacks(const std::vector<cache::Victim>& victims, Tick t);
-  void send_request(const PendingRequest& req, Tick t);
+  /// `has_line` is the caller's own lookup: the request is an upgrade.
+  void send_request(const PendingRequest& req, bool has_line, Tick t);
 
   NodeId node_;
   Fabric& fabric_;

@@ -87,6 +87,9 @@ class DirectoryController {
   const DirectoryStats& stats() const { return stats_; }
   const region::RegionDirectory& region_directory() const { return region_; }
 
+  /// True when the region machinery is live (see `region_on_`).
+  bool region_on() const { return region_on_; }
+
   /// True when a region entry covers `line` for `holder` (region mode's
   /// relaxation of the baseline "no entry implies uncached" invariant).
   bool region_covers(LineAddr line, NodeId holder) const {

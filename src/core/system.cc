@@ -29,6 +29,39 @@ std::uint32_t count_draws(Rng probe, const Rng& after) {
   return draws;
 }
 
+/// One cached copy for the invariant check, packed into one word: the line
+/// in the high 46 bits, then the node (15 bits), then the state (3 bits).
+/// Ordering compares the words as integers, which groups copies by line,
+/// node-ascending.
+class Held {
+ public:
+  static constexpr unsigned kStateBits = 3;
+  static constexpr unsigned kNodeBits = 15;
+  static constexpr unsigned kLineShift = kNodeBits + kStateBits;
+
+  /// False when `line` or `node` is too wide for its field.
+  static bool fits(LineAddr line, NodeId node) {
+    return line >> (64 - kLineShift) == 0 && node >> kNodeBits == 0;
+  }
+
+  Held(LineAddr line, NodeId node, cache::LineState state)
+      : word_(line << kLineShift | std::uint64_t{node} << kStateBits |
+              static_cast<std::uint64_t>(state)) {}
+
+  friend bool operator<(Held a, Held b) { return a.word_ < b.word_; }
+
+  LineAddr line() const { return word_ >> kLineShift; }
+  NodeId node() const {
+    return static_cast<NodeId>((word_ >> kStateBits) & ((1u << kNodeBits) - 1));
+  }
+  cache::LineState state() const {
+    return static_cast<cache::LineState>(word_ & ((1u << kStateBits) - 1));
+  }
+
+ private:
+  std::uint64_t word_;
+};
+
 }  // namespace
 
 using cache::LineState;
@@ -353,52 +386,47 @@ bool System::quiescent() const {
 }
 
 void System::check_invariants(bool strict) const {
-  // Gather every cached (line, node, state) triple into one flat vector and
-  // sort-group it by line.  The vector is the checker's only allocation,
-  // sized exactly and sorted in place: it runs at the end of every
-  // simulation (and periodically inside the measured region), so its
-  // footprint adds to every concurrent run's peak memory.
-  struct Holder {
-    LineAddr line;
-    NodeId node;
-    LineState state;
-  };
-  std::size_t total = 0;
-  for (NodeId n = 0; n < config_.num_nodes(); ++n) {
-    total += caches_[n]->hierarchy().occupancy();
-  }
-  std::vector<Holder> held;
-  held.reserve(total);
-  for (NodeId n = 0; n < config_.num_nodes(); ++n) {
-    caches_[n]->hierarchy().for_each([&held, n](LineAddr line, LineState s) {
-      held.push_back(Holder{line, n, s});
-    });
-  }
-  // Node-ascending within a line: the per-line duplicate check below
-  // relies on equal nodes being adjacent.
-  std::sort(held.begin(), held.end(), [](const Holder& a, const Holder& b) {
-    return a.line != b.line ? a.line < b.line : a.node < b.node;
-  });
-
   auto fail = [](const std::string& what, LineAddr line) {
     throw std::logic_error("invariant violation: " + what + " (line " +
                            std::to_string(line) + ")");
   };
 
+  // Gather every cached (line, node, state) triple into one flat vector of
+  // packed words and sort it, which groups it by line.  The vector is the
+  // checker's only allocation, one word per cached line, sized exactly and
+  // sorted in place: it runs at the end of every simulation (and
+  // periodically inside the measured region), so its footprint adds to
+  // every concurrent run's peak memory.
+  std::size_t total = 0;
+  for (NodeId n = 0; n < config_.num_nodes(); ++n) {
+    total += caches_[n]->hierarchy().occupancy();
+  }
+  std::vector<Held> held;
+  held.reserve(total);
+  for (NodeId n = 0; n < config_.num_nodes(); ++n) {
+    caches_[n]->hierarchy().for_each([&](LineAddr line, LineState s) {
+      if (!Held::fits(line, n)) fail("cached line too wide to check", line);
+      held.emplace_back(line, n, s);
+    });
+  }
+  // Node-ascending within a line: the per-line duplicate check below
+  // relies on equal nodes being adjacent.
+  std::sort(held.begin(), held.end());
+
   for (std::size_t begin = 0; begin < held.size();) {
-    const LineAddr line = held[begin].line;
+    const LineAddr line = held[begin].line();
     std::size_t end = begin;
-    while (end < held.size() && held[end].line == line) ++end;
+    while (end < held.size() && held[end].line() == line) ++end;
 
     int m = 0, e = 0, o = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      const Holder& h = held[i];
-      if (i > begin && held[i - 1].node == h.node) {
+      const Held h = held[i];
+      if (i > begin && held[i - 1].node() == h.node()) {
         fail("line duplicated within a node", line);
       }
-      if (h.state == LineState::kModified) ++m;
-      if (h.state == LineState::kExclusive) ++e;
-      if (h.state == LineState::kOwned) ++o;
+      if (h.state() == LineState::kModified) ++m;
+      if (h.state() == LineState::kExclusive) ++e;
+      if (h.state() == LineState::kOwned) ++o;
     }
     if (m + e > 0 && end - begin != 1) {
       fail("M/E copy coexists with another copy", line);
@@ -414,7 +442,7 @@ void System::check_invariants(bool strict) const {
                             ranges_.active(addr_of_line(line));
         if (allarm) {
           for (std::size_t i = begin; i < end; ++i) {
-            if (held[i].node != home) {
+            if (held[i].node() != home) {
               fail("remote cached line untracked under ALLARM", line);
             }
           }
@@ -422,11 +450,11 @@ void System::check_invariants(bool strict) const {
           // Region entries cover exactly the owner's exclusive/modified
           // copies; anything else must carry a per-block entry.
           for (std::size_t i = begin; i < end; ++i) {
-            if (!dirs_[home]->region_covers(line, held[i].node)) {
+            if (!dirs_[home]->region_covers(line, held[i].node())) {
               fail("cached line not covered by a region entry", line);
             }
-            if (held[i].state != LineState::kModified &&
-                held[i].state != LineState::kExclusive) {
+            if (held[i].state() != LineState::kModified &&
+                held[i].state() != LineState::kExclusive) {
               fail("region-covered line held non-exclusive", line);
             }
           }
@@ -445,18 +473,19 @@ void System::check_invariants(bool strict) const {
     dirs_[h]->probe_filter().for_each([&](const PfEntry& entry) {
       if (dirs_[h]->line_busy(entry.line)) return;
       // The line's holders: [begin, end) in `held`, empty when uncached.
-      const auto first = std::lower_bound(
-          held.begin(), held.end(), entry.line,
-          [](const Holder& a, LineAddr line) { return a.line < line; });
+      // No copy of the line orders below its node-0 kInvalid record.
+      const auto first =
+          std::lower_bound(held.begin(), held.end(),
+                           Held(entry.line, 0, LineState::kInvalid));
       const auto begin = static_cast<std::uint32_t>(first - held.begin());
       std::uint32_t end = begin;
-      while (end < held.size() && held[end].line == entry.line) ++end;
+      while (end < held.size() && held[end].line() == entry.line) ++end;
       const std::uint32_t count = end - begin;
       switch (entry.state) {
         case PfState::kEM: {
-          if (count != 1 || held[begin].node != entry.owner ||
-              (held[begin].state != LineState::kModified &&
-               held[begin].state != LineState::kExclusive)) {
+          if (count != 1 || held[begin].node() != entry.owner ||
+              (held[begin].state() != LineState::kModified &&
+               held[begin].state() != LineState::kExclusive)) {
             fail("EM entry does not match a sole M/E holder", entry.line);
           }
           break;
@@ -464,10 +493,10 @@ void System::check_invariants(bool strict) const {
         case PfState::kOwned: {
           bool owner_ok = false;
           for (std::uint32_t i = begin; i < end; ++i) {
-            const Holder& hh = held[i];
-            if (hh.node == entry.owner) {
-              owner_ok = hh.state == LineState::kOwned;
-            } else if (hh.state != LineState::kShared) {
+            const Held hh = held[i];
+            if (hh.node() == entry.owner) {
+              owner_ok = hh.state() == LineState::kOwned;
+            } else if (hh.state() != LineState::kShared) {
               fail("non-owner holds non-Shared under Owned entry", entry.line);
             }
           }
@@ -476,7 +505,7 @@ void System::check_invariants(bool strict) const {
         }
         case PfState::kShared: {
           for (std::uint32_t i = begin; i < end; ++i) {
-            if (held[i].state != LineState::kShared) {
+            if (held[i].state() != LineState::kShared) {
               fail("non-Shared holder under Shared entry", entry.line);
             }
           }
@@ -492,18 +521,24 @@ void System::check_invariants(bool strict) const {
   // one cached line covered by its region entry.  The region table is a
   // FlatMap (never iterated), so the check compares live counters: a
   // stale-high bit (a grant whose death was lost) breaks the equality
-  // because covered cached lines always have their bit set.
+  // because covered cached lines always have their bit set.  Without the
+  // region machinery no directory covers a line, so `covered` is 0 by
+  // construction and the holders are walked only to name a stray bit.
   {
     std::uint64_t bits = 0;
+    bool region_on = false;
     for (const auto& d : dirs_) {
       bits += d->region_directory().presence_bits();
+      region_on = region_on || d->region_on();
     }
     std::uint64_t covered = 0;
-    for (const Holder& h : held) {
-      const NodeId home = os_.home_of(addr_of_line(h.line));
-      if (dirs_[home]->probe_filter().peek(h.line) == nullptr &&
-          dirs_[home]->region_covers(h.line, h.node)) {
-        ++covered;
+    if (region_on || bits != 0) {
+      for (const Held h : held) {
+        const NodeId home = os_.home_of(addr_of_line(h.line()));
+        if (dirs_[home]->probe_filter().peek(h.line()) == nullptr &&
+            dirs_[home]->region_covers(h.line(), h.node())) {
+          ++covered;
+        }
       }
     }
     if (bits != covered) {

@@ -206,13 +206,16 @@ int Service::run(const std::atomic<bool>& stop) {
   Clock::time_point drain_started{};
   bool drain_logged = false;
 
-  // Lifetime totals, accumulated as finished drivers are reaped (plus the
-  // in-flight progress of still-active ones when sampled below).  These
-  // back the cells/sec gauge and the *_total counters in metrics.prom.
+  // Lifetime totals, accumulated as finished drivers are reaped.  These
+  // back the *_total counters in metrics.prom.
   std::uint64_t jobs_executed_total = 0;
   std::uint64_t jobs_retried_total = 0;
   std::uint64_t jobs_quarantined_total = 0;
   std::uint64_t requests_finished_total = 0;
+  // The jobs/s gauge's count, which never falls: each reaped driver's final
+  // `progress` (executed and resumed jobs alike), the same count the
+  // samples below sum over the still-active drivers.
+  std::uint64_t jobs_folded_total = 0;
   std::uint64_t rate_last_jobs = 0;
   Clock::time_point rate_last_at = started;
   double jobs_per_s = 0.0;
@@ -326,11 +329,11 @@ int Service::run(const std::atomic<bool>& stop) {
 
   const auto write_health = [&](bool draining) {
     OBS_SPAN("service.health", "service");
-    // Throughput gauge: jobs completed (reaped totals + in-flight
-    // progress) over the wall time since the last sample.  Poll-cadence
-    // sampling, so short bursts between polls average out.
+    // Throughput gauge: jobs folded (reaped drivers' final progress +
+    // in-flight progress) over the wall time since the last sample.
+    // Poll-cadence sampling, so short bursts between polls average out.
     const std::uint64_t jobs_now = [&] {
-      std::uint64_t total = jobs_executed_total;
+      std::uint64_t total = jobs_folded_total;
       for (const auto& entry : active) {
         total += entry->progress.load(std::memory_order_relaxed);
       }
@@ -459,6 +462,7 @@ int Service::run(const std::atomic<bool>& stop) {
         ++requests_finished_total;
       }
       // kFailed from the exception path carries default-zero stats.
+      jobs_folded_total += entry.progress.load(std::memory_order_relaxed);
       jobs_executed_total += entry.stats.jobs_executed;
       jobs_retried_total += entry.stats.jobs_retried;
       jobs_quarantined_total += entry.stats.jobs_failed;

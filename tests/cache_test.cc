@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -398,31 +399,153 @@ TEST(Hierarchy, OccupancyAndClear) {
   EXPECT_EQ(h.occupancy(), 0u);
 }
 
-// Property: under heavy random traffic the hierarchy never duplicates a
-// line and never loses occupancy accounting.
-TEST(Hierarchy, PropertyRandomTrafficKeepsExclusivity) {
-  Hierarchy h(small_system(), 1, "n0");
+// Model check: random fill/promote/invalidate/downgrade/set_state traffic
+// against a reference map of line -> (array, state).  The map follows every
+// returned victim and every L1 victim's move into the L2, and after each
+// step `locate`, `invalidate` and `downgrade` must agree with it.  No filter
+// guards these lookups, so the lines spread over every set of each array,
+// and half sit near 2^40, as perfbench's virtual-address lines do.
+TEST(Hierarchy, ModelCheckRandomTrafficAgreesWithAReferenceMap) {
+  SystemConfig config;
+  config.l1d = CacheConfig{16 * kLineBytes, 2, ticks_from_ns(1.0)};  // 8 sets.
+  config.l1i = CacheConfig{8 * kLineBytes, 2, ticks_from_ns(1.0)};   // 4 sets.
+  config.l2 = CacheConfig{64 * kLineBytes, 4, ticks_from_ns(1.0)};   // 16 sets.
+  Hierarchy h(config, 1, "n0");
   Rng rng(77);
-  for (int i = 0; i < 5000; ++i) {
-    const LineAddr line = rng.below(64);
-    const Location loc = h.locate(line);
-    if (!loc.present()) {
-      h.fill(rng.chance(0.2) ? Array::kL1I : Array::kL1D, line,
-             rng.chance(0.5) ? LineState::kModified : LineState::kShared);
-    } else if (loc.array == Array::kL2 && rng.chance(0.5)) {
-      h.promote(Array::kL1D, line);
-    } else if (rng.chance(0.2)) {
-      h.invalidate(line);
+
+  struct Held {
+    Array array;
+    LineState state;
+  };
+  std::map<LineAddr, Held> model;
+  const auto array_config = [&config](Array a) -> const CacheConfig& {
+    return a == Array::kL1D ? config.l1d : a == Array::kL1I ? config.l1i
+                                                            : config.l2;
+  };
+  const auto same_set = [&](Array a, LineAddr x, LineAddr y) {
+    const LineAddr mask = array_config(a).sets() - 1;
+    return (x & mask) == (y & mask);
+  };
+  // Lines of `a` sharing `line`'s set in the model (`line` excluded).
+  const auto set_mates = [&](Array a, LineAddr line) {
+    std::vector<LineAddr> out;
+    for (const auto& [l, held] : model) {
+      if (l != line && held.array == a && same_set(a, l, line)) out.push_back(l);
     }
-    // Exclusivity scan.
-    std::uint32_t counted = 0;
-    std::set<LineAddr> seen;
-    h.for_each([&](LineAddr l, LineState) {
-      ASSERT_TRUE(seen.insert(l).second) << "line duplicated";
-      ++counted;
-    });
-    ASSERT_EQ(counted, h.occupancy());
+    return out;
+  };
+
+  // 160 distinct lines for 88 ways: every set sees conflicts.
+  std::vector<LineAddr> lines;
+  for (LineAddr l = 0; l < 80; ++l) lines.push_back(l * 7);
+  for (LineAddr l = 0; l < 80; ++l) lines.push_back((LineAddr{1} << 40) + l * 5);
+  const LineState kStates[] = {LineState::kShared, LineState::kExclusive,
+                               LineState::kOwned, LineState::kModified};
+
+  // Inserts `line` into L1 `target` through `insert` and folds the result
+  // into the model: a full L1 set moves exactly one mate to the L2, and a
+  // full L2 set then pushes exactly one held L2 line out of the hierarchy.
+  const auto insert_l1 = [&](Array target, LineAddr line, LineState state,
+                             const auto& insert) {
+    const std::vector<LineAddr> l1_mates = set_mates(target, line);
+    const bool l1_full = l1_mates.size() == array_config(target).ways;
+    const std::vector<Victim> victims = insert();
+    model[line] = Held{target, state};
+    if (!l1_full) {
+      ASSERT_TRUE(victims.empty());
+      return;
+    }
+    LineAddr moved = 0;
+    int moves = 0;
+    for (const LineAddr mate : l1_mates) {
+      const Location loc = h.locate(mate);
+      ASSERT_EQ(loc.state, model.at(mate).state) << mate;
+      if (loc.array == Array::kL2) {
+        moved = mate;
+        ++moves;
+      } else {
+        ASSERT_EQ(loc.array, target) << mate;
+      }
+    }
+    ASSERT_EQ(moves, 1);
+    const bool l2_full =
+        set_mates(Array::kL2, moved).size() == config.l2.ways;
+    ASSERT_EQ(victims.size(), l2_full ? 1u : 0u);
+    for (const Victim& v : victims) {
+      const auto it = model.find(v.line);
+      ASSERT_NE(it, model.end()) << "victim " << v.line << " was not held";
+      ASSERT_EQ(it->second.array, Array::kL2) << v.line;
+      ASSERT_EQ(it->second.state, v.state) << v.line;
+      ASSERT_TRUE(same_set(Array::kL2, v.line, moved)) << v.line;
+      model.erase(it);
+    }
+    model[moved].array = Array::kL2;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const LineAddr line = lines[rng.below(lines.size())];
+    const auto it = model.find(line);
+    const bool held = it != model.end();
+    const Array l1 = rng.chance(0.25) ? Array::kL1I : Array::kL1D;
+    const LineState state = kStates[rng.below(4)];
+    switch (rng.below(5)) {
+      case 0:  // fill
+        if (held) {
+          ASSERT_THROW(h.fill(l1, line, state), std::logic_error);
+        } else {
+          insert_l1(l1, line, state, [&] { return h.fill(l1, line, state); });
+        }
+        break;
+      case 1:  // promote
+        if (held && it->second.array == Array::kL2) {
+          const LineState had = it->second.state;
+          model.erase(it);
+          insert_l1(l1, line, had, [&] { return h.promote(l1, line); });
+        } else {
+          ASSERT_THROW(h.promote(l1, line), std::logic_error);
+        }
+        break;
+      case 2:  // invalidate
+        ASSERT_EQ(h.invalidate(line),
+                  held ? it->second.state : LineState::kInvalid);
+        if (held) model.erase(it);
+        break;
+      case 3: {  // downgrade
+        ASSERT_EQ(h.downgrade(line),
+                  held ? it->second.state : LineState::kInvalid);
+        if (!held) break;
+        LineState& s = it->second.state;
+        if (s == LineState::kModified) s = LineState::kOwned;
+        if (s == LineState::kExclusive) s = LineState::kShared;
+        break;
+      }
+      case 4:  // set_state
+        ASSERT_EQ(h.set_state(line, state), held);
+        if (held) it->second.state = state;
+        break;
+    }
+
+    const Location loc = h.locate(line);
+    const auto now = model.find(line);
+    ASSERT_EQ(loc.present(), now != model.end()) << line;
+    if (now != model.end()) {
+      ASSERT_EQ(loc.array, now->second.array) << line;
+      ASSERT_EQ(loc.state, now->second.state) << line;
+    }
+    if (step % 64 == 0) {
+      ASSERT_EQ(h.occupancy(), model.size());
+      std::uint32_t counted = 0;
+      h.for_each([&](LineAddr l, LineState s) {
+        const auto found = model.find(l);
+        ASSERT_NE(found, model.end()) << "line " << l << " not in the model";
+        ASSERT_EQ(found->second.state, s) << l;
+        ASSERT_EQ(h.locate(l).array, found->second.array) << l;
+        ++counted;
+      });
+      ASSERT_EQ(counted, model.size());
+    }
   }
+  EXPECT_GT(model.size(), 0u);
 }
 
 }  // namespace

@@ -177,10 +177,10 @@ TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {
       << "a simulator closure no longer fits Event::kInlineBytes";
 }
 
-TEST(KernelAllocations, TableISystemAllocatesAtMostThreeMiB) {
+TEST(KernelAllocations, TableISystemAllocatesAtMostTwoMiB) {
   // Construction sizes every per-node structure: tag arrays, replacement
-  // state, probe filters, presence filters, and the event calendar.  Keep
-  // one machine's working set inside a host core's L2-sized budget.
+  // state, probe filters, and the event calendar.  Keep one machine's
+  // working set inside a host core's 2 MiB L2.
 #if !ALLARM_COUNTING_NEW
   GTEST_SKIP() << "AddressSanitizer owns operator new; bytes are not counted";
 #endif
@@ -189,14 +189,14 @@ TEST(KernelAllocations, TableISystemAllocatesAtMostThreeMiB) {
   { core::System system(config); }
   const std::uint64_t bytes =
       g_new_bytes.load(std::memory_order_relaxed) - before;
-  EXPECT_LE(bytes, std::uint64_t{3} << 20)
+  EXPECT_LE(bytes, std::uint64_t{2} << 20)
       << "a Table-I System allocated " << bytes << " bytes";
 }
 
 TEST(KernelAllocations, InvariantCheckAllocatesOneRecordPerCachedLine) {
   // The strict checker ends every run while other workers' runs are still
-  // live, so its scratch adds to the host's peak memory: one 16-byte
-  // (line, node, state) record per cached line, and nothing else.
+  // live, so its scratch adds to the host's peak memory: one (line, node,
+  // state) record packed into 8 bytes per cached line, and nothing else.
 #if !ALLARM_COUNTING_NEW
   GTEST_SKIP() << "AddressSanitizer owns operator new; bytes are not counted";
 #endif
@@ -216,7 +216,7 @@ TEST(KernelAllocations, InvariantCheckAllocatesOneRecordPerCachedLine) {
   system.check_invariants(/*strict=*/true);
   const std::uint64_t bytes =
       g_new_bytes.load(std::memory_order_relaxed) - before;
-  EXPECT_LE(bytes, lines * 16)
+  EXPECT_LE(bytes, lines * 8)
       << "the invariant check allocated " << bytes << " bytes for " << lines
       << " cached lines";
 }

@@ -2,14 +2,15 @@
 // the file spool (atomic enqueue, admission, durable state machine), the
 // runner's retry jitter, drain semantics, shared-pool multiplexing, and
 // the Service loop end-to-end through the built-in grids, including its
-// request table (file opens per poll, an unreadable state word) and a
-// failed terminal state write.
+// request table (file opens per poll, an unreadable state word), a
+// failed terminal state write and the jobs/s gauge across a resume.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -587,6 +588,47 @@ TEST(Service, FailedTerminalStateWriteIsRetriedNextPoll) {
   EXPECT_NE(last_error.find(spool.request_dir(id) + "/state"),
             std::string::npos)
       << last_error;
+}
+
+TEST(Service, JobsPerSecondGaugeNeverWrapsAfterAResumedRequest) {
+  // A resubmitted, unchanged request resumes every job from its journal.
+  // Its 24 jobs outnumber the admission window of 16, so the run folds
+  // between payload reads, and each read sleeps 20 ms: polls sample its
+  // progress mid-run.  Once it is reaped, the gauge's count must not fall
+  // below those samples.
+  const std::string root = temp_path("spool");
+  remove_tree(root);
+  const std::string request = R"({"grid": "quick", "seeds": 6, "accesses": 300})";
+  service::ServiceConfig config;
+  config.root = root;
+  config.workers = 2;
+  config.poll_ms = 1;
+  config.exit_when_idle = true;
+  std::atomic<bool> stop{false};
+  service::Spool::enqueue(root, "r", request);
+  ASSERT_EQ(service::Service(config).run(stop), 0);
+  service::Spool spool(root);
+  const std::string first = read_file(spool.report_json("r"));
+
+  service::Spool::enqueue(root, "r", request);
+  {
+    failpoint::Scoped guard("journal.read_payload=delay.20@1:0");
+    ASSERT_EQ(service::Service(config).run(stop), 0);
+    ASSERT_GT(failpoint::hits("journal.read_payload"), 0u);
+  }
+  EXPECT_EQ(spool.state("r"), service::RequestState::kDone);
+  EXPECT_EQ(read_file(spool.report_json("r")), first);
+
+  const service::JsonValue health =
+      service::parse_json(read_file(spool.health_path()));
+  const double rate = health.find("jobs_per_s")->number;
+  EXPECT_TRUE(std::isfinite(rate) && rate >= 0.0 && rate < 1e6) << rate;
+  const std::string metrics = read_file(spool.metrics_path());
+  const std::string key = "\nallarm_jobs_per_second ";
+  const std::size_t at = metrics.find(key);
+  ASSERT_NE(at, std::string::npos) << metrics;
+  const double gauge = std::strtod(metrics.c_str() + at + key.size(), nullptr);
+  EXPECT_TRUE(std::isfinite(gauge) && gauge >= 0.0 && gauge < 1e6) << gauge;
 }
 
 TEST(Service, RejectsMalformedRequestAndExitsDegraded) {
