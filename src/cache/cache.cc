@@ -1,6 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace allarm::cache {
@@ -16,17 +15,12 @@ std::string to_string(LineState s) {
   return "?";
 }
 
-Cache::Cache(const CacheConfig& config, ReplacementKind replacement,
-             std::uint64_t seed, std::string name)
+Cache::Cache(const CacheConfig& config, std::string name)
     : sets_(config.sets()),
       ways_(config.ways),
       name_(std::move(name)),
       slots_(static_cast<std::size_t>(config.sets()) * config.ways, 0),
-      policy_(make_policy(replacement, config.sets(), config.ways, seed)) {
-  if (replacement == ReplacementKind::kLru) {
-    lru_ = static_cast<LruPolicy*>(policy_.get());
-  }
-}
+      lru_(config.sets(), config.ways) {}
 
 std::uint64_t* Cache::find_way(LineAddr line) {
   std::uint64_t* base = set_base(set_of(line));
@@ -45,7 +39,7 @@ StateRef Cache::touch_ref(LineAddr line) {
   std::uint64_t* way = find_way(line);
   if (way != nullptr) {
     const std::uint32_t set = set_of(line);
-    policy_touch(set, static_cast<std::uint32_t>(way - set_base(set)));
+    lru_.touch(set, static_cast<std::uint32_t>(way - set_base(set)));
   }
   return StateRef(way);
 }
@@ -78,17 +72,17 @@ Victim Cache::insert(LineAddr line, LineState state) {
   }
   if (free_way != ways_) {
     base[free_way] = pack(line, state);
-    policy_touch(set, free_way);
+    lru_.touch(set, free_way);
     ++occupancy_;
     return Victim{};
   }
 
   // Evict a victim (all ways eligible: caches never pin lines; the probe
   // filter, which does pin busy lines, selects victims itself).
-  const std::uint32_t w = policy_victim_any(set);
+  const std::uint32_t w = lru_.victim_any(set);
   const Victim victim{line_of_way(base[w]), state_of_way(base[w])};
   base[w] = pack(line, state);
-  policy_touch(set, w);
+  lru_.touch(set, w);
   return victim;
 }
 
@@ -105,11 +99,6 @@ void Cache::for_each(FunctionRef<void(LineAddr, LineState)> fn) const {
   for (const std::uint64_t way : slots_) {
     if (way != 0) fn(line_of_way(way), state_of_way(way));
   }
-}
-
-void Cache::clear() {
-  std::fill(slots_.begin(), slots_.end(), 0);
-  occupancy_ = 0;
 }
 
 }  // namespace allarm::cache

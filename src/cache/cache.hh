@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,9 +69,7 @@ class StateRef {
 /// One set-associative array.
 class Cache {
  public:
-  /// `seed` feeds the random replacement policy (unused by LRU/PLRU).
-  Cache(const CacheConfig& config, ReplacementKind replacement,
-        std::uint64_t seed, std::string name);
+  Cache(const CacheConfig& config, std::string name);
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
@@ -115,9 +112,6 @@ class Cache {
   /// Invokes `fn(line, state)` for every valid line (for invariant checks).
   void for_each(FunctionRef<void(LineAddr, LineState)> fn) const;
 
-  /// Removes every line (used between experiment repetitions).
-  void clear();
-
  private:
   // A way is one word, `line << 3 | state`; 0 is an invalid way.  Lines
   // are full-width (byte addresses >> 6 always leave the top bits clear).
@@ -142,23 +136,11 @@ class Cache {
   }
   std::uint64_t* find_way(LineAddr line);
 
-  /// Replacement-policy calls run on every access; when the policy is the
-  /// default LRU these route through the exact (final) type so the
-  /// compiler inlines the counter update instead of an indirect call.
-  void policy_touch(std::uint32_t set, std::uint32_t way) {
-    if (lru_ != nullptr) lru_->touch(set, way);
-    else policy_->touch(set, way);
-  }
-  std::uint32_t policy_victim_any(std::uint32_t set) {
-    return lru_ != nullptr ? lru_->victim_any(set) : policy_->victim_any(set);
-  }
-
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::string name_;
   std::vector<std::uint64_t> slots_;  // sets x ways, packed
-  std::unique_ptr<ReplacementPolicy> policy_;
-  LruPolicy* lru_ = nullptr;  ///< Non-null iff policy_ is the LRU policy.
+  LruPolicy lru_;
   std::uint32_t occupancy_ = 0;
 };
 

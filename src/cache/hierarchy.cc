@@ -14,11 +14,11 @@ std::string to_string(Array array) {
   return "?";
 }
 
-Hierarchy::Hierarchy(const SystemConfig& config, std::uint64_t seed,
+Hierarchy::Hierarchy(const SystemConfig& config, std::uint64_t /*seed*/,
                      const std::string& name)
-    : l1d_(config.l1d, config.cache_replacement, seed * 3 + 1, name + ".l1d"),
-      l1i_(config.l1i, config.cache_replacement, seed * 3 + 2, name + ".l1i"),
-      l2_(config.l2, config.cache_replacement, seed * 3 + 3, name + ".l2") {}
+    : l1d_(config.l1d, name + ".l1d"),
+      l1i_(config.l1i, name + ".l1i"),
+      l2_(config.l2, name + ".l2") {}
 
 Cache& Hierarchy::array_of(Array a) {
   switch (a) {
@@ -128,12 +128,6 @@ void Hierarchy::for_each(FunctionRef<void(LineAddr, LineState)> fn) const {
 
 std::uint32_t Hierarchy::occupancy() const {
   return l1d_.occupancy() + l1i_.occupancy() + l2_.occupancy();
-}
-
-void Hierarchy::clear() {
-  l1d_.clear();
-  l1i_.clear();
-  l2_.clear();
 }
 
 }  // namespace allarm::cache

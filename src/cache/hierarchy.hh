@@ -33,6 +33,8 @@ struct Location {
 /// The three-array exclusive hierarchy.
 class Hierarchy {
  public:
+  /// `seed` is unused: it is kept because perfbench constructs a
+  /// Hierarchy with one.
   Hierarchy(const SystemConfig& config, std::uint64_t seed,
             const std::string& name);
 
@@ -84,9 +86,6 @@ class Hierarchy {
 
   /// Total lines held across the three arrays.
   std::uint32_t occupancy() const;
-
-  /// Drops every line (between experiment repetitions).
-  void clear();
 
   const Cache& l1d() const { return l1d_; }
   const Cache& l1i() const { return l1i_; }

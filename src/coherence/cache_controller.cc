@@ -10,11 +10,10 @@ namespace allarm::coherence {
 using cache::Array;
 using cache::LineState;
 
-CacheController::CacheController(NodeId node, Fabric& fabric,
-                                 std::uint64_t seed)
+CacheController::CacheController(NodeId node, Fabric& fabric)
     : node_(node),
       fabric_(fabric),
-      hierarchy_(*fabric.config, seed, "node" + std::to_string(node)) {}
+      hierarchy_(*fabric.config, 0, "node" + std::to_string(node)) {}
 
 Tick CacheController::acquire(Tick now, Tick duration) {
   const Tick start = now > busy_until_ ? now : busy_until_;
@@ -203,15 +202,6 @@ void CacheController::put_ack(LineAddr line, Tick now) {
     core_access(type, paddr, std::move(done));
     (void)now;
   }
-}
-
-void CacheController::clear() {
-  hierarchy_.clear();
-  wbb_.clear();
-  busy_until_ = 0;
-  pending_.reset();
-  wbb_wait_.reset();
-  wbb_wait_done_ = nullptr;
 }
 
 }  // namespace allarm::coherence

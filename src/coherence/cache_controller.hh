@@ -94,7 +94,7 @@ class CacheController {
     void* ctx_ = nullptr;
   };
 
-  CacheController(NodeId node, Fabric& fabric, std::uint64_t seed);
+  CacheController(NodeId node, Fabric& fabric);
 
   NodeId node() const { return node_; }
 
@@ -135,9 +135,6 @@ class CacheController {
 
   /// Zeroes the counters, keeping cache contents (ROI boundary).
   void reset_stats() { stats_ = CacheControllerStats{}; }
-
-  /// Drops all cached state (between experiment repetitions).
-  void clear();
 
  private:
   struct PendingRequest {

@@ -10,21 +10,16 @@ namespace allarm::coherence {
 using cache::LineState;
 
 DirectoryController::DirectoryController(NodeId node, Fabric& fabric,
-                                         DirectoryMode mode,
-                                         std::uint64_t seed)
+                                         DirectoryMode mode)
     : node_(node),
       fabric_(fabric),
       mode_(mode),
       pf_(fabric.config->probe_filter_coverage_bytes,
           fabric.config->probe_filter_ways,
-          fabric.config->probe_filter_replacement, seed),
+          fabric.config->probe_filter_replacement, 0),
       region_(mode == DirectoryMode::kRegion ? fabric.config->region_size_bytes
                                              : kLineBytes),
       region_on_(mode == DirectoryMode::kRegion && region_.enabled()) {}
-
-bool DirectoryController::allarm_active_for(LineAddr line) const {
-  return mode_ == DirectoryMode::kAllarm && fabric_.allarm_active(line);
-}
 
 // ------------------------------------------------------------- plumbing ----
 
@@ -302,7 +297,7 @@ void DirectoryController::bcast_on_all_acks(BcastState* st) {
 // --------------------------------------------------------------- PF miss ----
 
 void DirectoryController::miss(const Request& r, Tick t) {
-  const bool allarm = allarm_active_for(r.line);
+  const bool allarm = mode_ == DirectoryMode::kAllarm;
 
   if (allarm && r.from == node_) {
     // The ALLARM fast path: a local miss allocates nothing and probes nobody.
@@ -661,17 +656,6 @@ void DirectoryController::process_put(const Put& p, Tick now) {
   fabric_.at(t_ack, [this, p] {
     fabric_.caches[p.from]->put_ack(p.line, fabric_.events->now());
   });
-}
-
-void DirectoryController::clear() {
-  pf_.clear();
-  region_.clear();
-  pending_installs_.clear();
-  busy_.clear();
-  waiting_.clear();
-  miss_pool_.reclaim_all();
-  bcast_pool_.reclaim_all();
-  evict_pool_.reclaim_all();
 }
 
 }  // namespace allarm::coherence

@@ -22,9 +22,10 @@
 //   * a miss from a remote core additionally probes the home node's local
 //     cache (the line may be cached there untracked), in parallel with the
 //     speculative DRAM read; the probe is hidden whenever it misses and
-//     DRAM is slower (Figure 3g);
-//   * ALLARM can be disabled per directory and per physical range
-//     (MTRR-like range registers).
+//     DRAM is slower (Figure 3g).
+// Every directory of a System runs the configured mode, and an ALLARM
+// directory applies it to every line it homes: the paper's per-directory
+// and per-range switch (Section II-C) is not modelled.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +72,7 @@ struct DirectoryStats {
 /// The directory controller for one node.
 class DirectoryController {
  public:
-  DirectoryController(NodeId node, Fabric& fabric, DirectoryMode mode,
-                      std::uint64_t seed);
+  DirectoryController(NodeId node, Fabric& fabric, DirectoryMode mode);
 
   NodeId node() const { return node_; }
   DirectoryMode mode() const { return mode_; }
@@ -108,9 +108,6 @@ class DirectoryController {
     pf_.reset_stats();
     region_.reset_stats();
   }
-
-  /// Drops all directory state (between experiment repetitions).
-  void clear();
 
   /// Installs a histogram sampling this directory's occupancy (number of
   /// lines with a transaction in flight) at each request arrival.  Null
@@ -213,8 +210,6 @@ class DirectoryController {
   void run_eviction(const PfEntry& victim, Tick t, MissState* gated);
 
   void process_put(const Put& p, Tick now);
-
-  bool allarm_active_for(LineAddr line) const;
 
   // --- Region-granularity paths (DirectoryMode::kRegion, src/region/) -------
   /// PF-miss hook: serves region hits, installs/collapses region entries,

@@ -2,9 +2,8 @@
 //
 // The System (src/core) constructs all components, then fills in one Fabric
 // that gives every controller access to the event queue, the mesh, its
-// peers, the DRAMs, the physical home mapping and the ALLARM range
-// registers.  Controllers never own their peers; lifetime is managed by the
-// System.
+// peers, the DRAMs and the physical home mapping.  Controllers never own
+// their peers; lifetime is managed by the System.
 #pragma once
 
 #include <functional>
@@ -34,8 +33,6 @@ struct Fabric {
   /// request, so it is a direct inline call (a shift on the Table I
   /// geometry), not a std::function indirection.
   const numa::Os* os = nullptr;
-  /// ALLARM enable ranges (Section II-C). Null means "always active".
-  const numa::RangeRegisters* allarm_ranges = nullptr;
 
   /// Physical address -> home node (the node whose DRAM holds it).
   NodeId home_of(Addr paddr) const { return os->home_of(paddr); }
@@ -46,11 +43,6 @@ struct Fabric {
   template <typename F>
   void at(Tick when, F&& fn) const {
     events->schedule_at(when, std::forward<F>(fn));
-  }
-
-  /// True when ALLARM is active for this physical line address.
-  bool allarm_active(LineAddr line) const {
-    return allarm_ranges == nullptr || allarm_ranges->active(addr_of_line(line));
   }
 };
 

@@ -15,11 +15,12 @@ std::string to_string(PfState state) {
 }
 
 ProbeFilter::ProbeFilter(std::uint32_t coverage_bytes, std::uint32_t ways,
-                         ReplacementKind replacement, std::uint64_t seed)
+                         ReplacementKind /*replacement*/,
+                         std::uint64_t /*seed*/)
     : sets_((coverage_bytes / kLineBytes) / ways),
       ways_(ways),
       entries_(static_cast<std::size_t>(sets_) * ways),
-      policy_(cache::make_policy(replacement, sets_, ways, seed)),
+      lru_(sets_, ways),
       eligible_scratch_(ways, false) {
   if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0) {
     throw std::invalid_argument("ProbeFilter: set count must be a power of two");
@@ -55,7 +56,7 @@ void ProbeFilter::touch_entry(PfEntry* entry) {
   const std::uint32_t set = set_of(entry->line);
   const auto way = static_cast<std::uint32_t>(
       entry - &entries_[static_cast<std::size_t>(set) * ways_]);
-  policy_->touch(set, way);
+  lru_.touch(set, way);
 }
 
 bool ProbeFilter::has_free_way(LineAddr line) const {
@@ -92,7 +93,7 @@ std::optional<PfEntry> ProbeFilter::displace_victim(
           eligible_scratch_[w] && base[w].state == PfState::kShared;
     }
   }
-  const std::uint32_t w = policy_->victim(set, eligible_scratch_);
+  const std::uint32_t w = lru_.victim(set, eligible_scratch_);
   const PfEntry victim = base[w];
   base[w] = PfEntry{};
   --occupancy_;
@@ -122,7 +123,7 @@ void ProbeFilter::insert(LineAddr line, PfState state, NodeId owner) {
     throw std::logic_error("ProbeFilter::insert: no free way (reserve first)");
   }
   base[free_way] = PfEntry{line, state, owner};
-  policy_->touch(set, free_way);
+  lru_.touch(set, free_way);
   ++occupancy_;
   ++stats_.writes;
   ++stats_.inserts;
@@ -157,12 +158,6 @@ void ProbeFilter::for_each(FunctionRef<void(const PfEntry&)> fn) const {
   for (const PfEntry& e : entries_) {
     if (e.valid()) fn(e);
   }
-}
-
-void ProbeFilter::clear() {
-  for (PfEntry& e : entries_) e = PfEntry{};
-  occupancy_ = 0;
-  stats_ = ProbeFilterStats{};
 }
 
 }  // namespace allarm::coherence

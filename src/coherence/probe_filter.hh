@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +57,8 @@ struct ProbeFilterStats {
 class ProbeFilter {
  public:
   /// `coverage_bytes` of cached data tracked, one entry per 64-byte line.
+  /// `replacement` (always LRU) and `seed` are unused: they are kept
+  /// because perfbench constructs a ProbeFilter with them.
   ProbeFilter(std::uint32_t coverage_bytes, std::uint32_t ways,
               ReplacementKind replacement, std::uint64_t seed);
 
@@ -117,9 +118,6 @@ class ProbeFilter {
   /// Zeroes the counters, keeping the entries (ROI boundary).
   void reset_stats() { stats_ = ProbeFilterStats{}; }
 
-  /// Drops all entries and statistics.
-  void clear();
-
  private:
   std::uint32_t set_of(LineAddr line) const {
     return static_cast<std::uint32_t>(line & (sets_ - 1));
@@ -129,7 +127,7 @@ class ProbeFilter {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::vector<PfEntry> entries_;  // sets x ways
-  std::unique_ptr<cache::ReplacementPolicy> policy_;
+  cache::LruPolicy lru_;
   std::uint32_t occupancy_ = 0;
   ProbeFilterStats stats_;
   mutable std::vector<bool> eligible_scratch_;

@@ -12,15 +12,6 @@ std::string to_string(DirectoryMode mode) {
   return "unknown";
 }
 
-std::string to_string(ReplacementKind kind) {
-  switch (kind) {
-    case ReplacementKind::kLru: return "lru";
-    case ReplacementKind::kTreePlru: return "tree-plru";
-    case ReplacementKind::kRandom: return "random";
-  }
-  return "unknown";
-}
-
 namespace {
 
 void check(bool ok, const std::string& what) {

@@ -35,14 +35,12 @@ struct CacheConfig {
   std::uint32_t sets() const { return lines() / ways; }
 };
 
-/// Replacement policy selector for caches and the probe filter.
+/// Replacement policy of the probe filter.  Every array uses true LRU
+/// (cache::LruPolicy); the enum and SystemConfig::probe_filter_replacement
+/// remain because perfbench passes them to the ProbeFilter constructor.
 enum class ReplacementKind : std::uint8_t {
-  kLru,        ///< True least-recently-used.
-  kTreePlru,   ///< Tree pseudo-LRU.
-  kRandom,     ///< Pseudo-random victim.
+  kLru,  ///< True least-recently-used.
 };
-
-std::string to_string(ReplacementKind kind);
 
 /// Full simulated-system configuration (defaults reproduce Table I).
 struct SystemConfig {
@@ -52,7 +50,6 @@ struct SystemConfig {
   CacheConfig l1i{32 * 1024, 4, ticks_from_ns(1.0)};   ///< 32 kB 4-way.
   CacheConfig l1d{32 * 1024, 4, ticks_from_ns(1.0)};   ///< 32 kB 4-way.
   CacheConfig l2{256 * 1024, 4, ticks_from_ns(1.0)};   ///< 256 kB 4-way, exclusive.
-  ReplacementKind cache_replacement = ReplacementKind::kLru;
 
   // --- Directory / probe filter ------------------------------------------
   /// Bytes of cached data each per-node probe filter can track

@@ -7,9 +7,8 @@
 // so steady-state acquire/release touches no allocator at all.
 //
 // T must be trivially destructible: release() does not run destructors,
-// and reclaim_all() (used between experiment repetitions, when pending
-// events referencing live blocks have been discarded wholesale) simply
-// forgets every outstanding block.
+// and blocks still acquired when the pool dies are dropped with its
+// storage.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +22,11 @@ namespace allarm {
 template <typename T>
 class Pool {
   static_assert(std::is_trivially_destructible_v<T>,
-                "Pool does not run destructors on release/reclaim_all");
+                "Pool does not run destructors");
 
  public:
   /// Returns a value-initialized block (default member initializers apply).
   T* acquire() {
-    ++live_;
     if (free_head_ != nullptr) {
       Slot* slot = free_head_;
       free_head_ = slot->next;
@@ -47,20 +45,6 @@ class Pool {
     Slot* slot = reinterpret_cast<Slot*>(block);
     slot->next = free_head_;
     free_head_ = slot;
-    --live_;
-  }
-
-  /// Blocks currently acquired and not yet released.
-  std::size_t live() const { return live_; }
-
-  /// Forgets every outstanding block and recycles all storage.  Only valid
-  /// when no acquired pointer will be dereferenced again (between
-  /// experiment repetitions, after the event queue has been cleared).
-  void reclaim_all() {
-    free_head_ = nullptr;
-    if (chunks_.size() > 1) chunks_.resize(1);
-    chunk_used_ = 0;
-    live_ = 0;
   }
 
  private:
@@ -73,7 +57,6 @@ class Pool {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::size_t chunk_used_ = 0;  ///< Slots handed out of the last chunk.
   Slot* free_head_ = nullptr;
-  std::size_t live_ = 0;
 };
 
 }  // namespace allarm

@@ -93,9 +93,16 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
 }
 
 std::uint32_t bench_jobs(std::uint32_t fallback) {
-  if (const char* env = std::getenv("ALLARM_JOBS")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0 && v <= 4096) return static_cast<std::uint32_t>(v);
+  // The flags' rule (cli::parse_u64): only a non-empty run of decimal
+  // digits counts, so a sign, a space or a suffix falls back.
+  const char* env = std::getenv("ALLARM_JOBS");
+  if (env != nullptr && *env != '\0') {
+    std::uint32_t v = 0;
+    const char* c = env;
+    for (; *c >= '0' && *c <= '9' && v <= 4096; ++c) {
+      v = v * 10 + static_cast<std::uint32_t>(*c - '0');
+    }
+    if (*c == '\0' && v >= 1 && v <= 4096) return v;
   }
   if (fallback > 0) return fallback;
   const unsigned hw = std::thread::hardware_concurrency();

@@ -56,9 +56,9 @@ struct RunRequest {
 RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns = 0);
 
 /// Worker-thread count for sweeps and the sweep service.  Reads the
-/// ALLARM_JOBS environment variable; when unset or invalid, returns
-/// `fallback`, or std::thread::hardware_concurrency() (at least 1) when
-/// `fallback` is 0.
+/// ALLARM_JOBS environment variable, a run of decimal digits in 1..4096;
+/// when it is unset or anything else, returns `fallback`, or
+/// std::thread::hardware_concurrency() (at least 1) when `fallback` is 0.
 std::uint32_t bench_jobs(std::uint32_t fallback = 0);
 
 }  // namespace allarm::core

@@ -73,7 +73,7 @@ struct System::ThreadRuntime {
   std::unique_ptr<workload::AccessGenerator> generator;
   Rng rng{0};
   std::uint64_t remaining = 0;
-  NodeId node = kInvalidNode;  ///< Current placement (mirrors the OS map).
+  NodeId node = kInvalidNode;  ///< Current placement; the OS keeps no copy.
   bool in_warmup = false;
   Tick crossed_warmup_at = 0;  ///< When this thread entered its ROI.
   Tick finished_at = 0;
@@ -99,14 +99,12 @@ System::System(const SystemConfig& config, numa::AllocPolicy policy)
   fabric_.config = &config_;
   fabric_.events = &events_;
   fabric_.mesh = &mesh_;
-  fabric_.allarm_ranges = &ranges_;
   fabric_.os = &os_;
   for (NodeId i = 0; i < n; ++i) {
     drams_.push_back(std::make_unique<mem::Dram>(config_));
-    caches_.push_back(
-        std::make_unique<coherence::CacheController>(i, fabric_, 0x1000 + i));
+    caches_.push_back(std::make_unique<coherence::CacheController>(i, fabric_));
     dirs_.push_back(std::make_unique<coherence::DirectoryController>(
-        i, fabric_, config_.directory_mode, 0x2000 + i));
+        i, fabric_, config_.directory_mode));
   }
   for (NodeId i = 0; i < n; ++i) {
     fabric_.drams.push_back(drams_[i].get());
@@ -116,14 +114,6 @@ System::System(const SystemConfig& config, numa::AllocPolicy policy)
 }
 
 System::~System() = default;
-
-void System::set_directory_mode(NodeId node, DirectoryMode mode) {
-  if (ran_) throw std::logic_error("System: cannot change mode after run()");
-  // Directories are immutable once built; rebuild the one node.
-  dirs_.at(node) = std::make_unique<coherence::DirectoryController>(
-      node, fabric_, mode, 0x2000 + node);
-  fabric_.directories.at(node) = dirs_.at(node).get();
-}
 
 void System::begin_roi() {
   roi_start_ = events_.now();
@@ -228,8 +218,8 @@ void System::migration_tick() {
     NodeId dst = static_cast<NodeId>(
         migration_rng_.below(config_.num_nodes()));
     if (dst == cur) dst = static_cast<NodeId>((dst + 1) % config_.num_nodes());
-    os_.migrate_thread(victim->spec.id, dst);
     victim->node = dst;
+    os_.count_migration();
   }
   events_.schedule_in(migration_interval_, [this] { migration_tick(); });
 }
@@ -336,7 +326,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
     }
     rt->system = this;
     if (rt->in_warmup) ++threads_in_warmup_;
-    os_.place_thread(ts.id, ts.node);
     threads_.push_back(std::move(rt));
   }
   threads_running_ = static_cast<std::uint32_t>(threads_.size());
@@ -438,9 +427,7 @@ void System::check_invariants(bool strict) const {
     if (!dirs_[home]->line_busy(line)) {  // Otherwise mid-transaction.
       const PfEntry* entry = dirs_[home]->probe_filter().peek(line);
       if (entry == nullptr) {
-        const bool allarm = dirs_[home]->mode() == DirectoryMode::kAllarm &&
-                            ranges_.active(addr_of_line(line));
-        if (allarm) {
+        if (dirs_[home]->mode() == DirectoryMode::kAllarm) {
           for (std::size_t i = begin; i < end; ++i) {
             if (held[i].node() != home) {
               fail("remote cached line untracked under ALLARM", line);

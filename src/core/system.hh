@@ -96,13 +96,6 @@ class System {
   /// Runs `spec` to completion and returns aggregated metrics.
   RunResult run(const workload::WorkloadSpec& spec, const RunOptions& options);
 
-  /// Overrides the directory mode of a single node (per-directory ALLARM
-  /// enablement, Section II-C).  Must be called before run().
-  void set_directory_mode(NodeId node, DirectoryMode mode);
-
-  /// ALLARM enable ranges; empty means "everywhere".
-  numa::RangeRegisters& allarm_ranges() { return ranges_; }
-
   /// Verifies protocol invariants; throws std::logic_error on violation.
   /// `strict` additionally checks directory-entry/cache agreement and is
   /// only valid when the system is quiescent.
@@ -140,7 +133,6 @@ class System {
   sim::EventQueue events_;
   noc::Mesh mesh_;
   numa::Os os_;
-  numa::RangeRegisters ranges_;
   coherence::Fabric fabric_;
   std::vector<std::unique_ptr<mem::Dram>> drams_;
   std::vector<std::unique_ptr<coherence::CacheController>> caches_;

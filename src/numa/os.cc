@@ -10,26 +10,17 @@ namespace allarm::numa {
 
 FrameAllocator::FrameAllocator(std::uint32_t num_nodes,
                                std::uint64_t frames_per_node)
-    : frames_per_node_(frames_per_node), pools_(num_nodes) {
-  for (auto& p : pools_) p.capacity = frames_per_node;
-}
-
-void FrameAllocator::set_node_capacity(std::uint64_t frames) {
-  if (frames > frames_per_node_) {
-    throw std::invalid_argument("FrameAllocator: capacity exceeds node size");
-  }
-  for (auto& p : pools_) p.capacity = frames;
-}
+    : frames_per_node_(frames_per_node), allocated_(num_nodes, 0) {}
 
 std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
-  NodePool& p = pools_.at(node);
-  if (p.allocated >= p.capacity) return std::nullopt;
+  std::uint64_t& allocated = allocated_.at(node);
+  if (allocated >= frames_per_node_) return std::nullopt;
   // Frames are handed out in a scrambled (but deterministic, bijective)
   // order within the node, modelling the fragmented free lists of a
   // long-running OS.  Contiguous virtual regions therefore map onto
   // scattered physical frames, which is what exposes realistic
   // set-conflict behaviour in the set-associative probe filter.
-  const std::uint64_t index = p.allocated++;
+  const std::uint64_t index = allocated++;
   std::uint64_t scrambled = index;
   if ((frames_per_node_ & (frames_per_node_ - 1)) == 0) {
     // Bijective mix on log2(frames_per_node_) bits.  Multiplication alone
@@ -49,11 +40,6 @@ std::optional<PageNum> FrameAllocator::allocate_on(NodeId node) {
     scrambled = x & mask;
   }
   return static_cast<PageNum>(node) * frames_per_node_ + scrambled;
-}
-
-std::uint64_t FrameAllocator::free_frames(NodeId node) const {
-  const NodePool& p = pools_.at(node);
-  return p.capacity - p.allocated;
 }
 
 // ------------------------------------------------------------------ Os ----
@@ -92,12 +78,11 @@ const std::vector<NodeId>& Os::spill_order(NodeId node) const {
   return spill_orders_.at(node);
 }
 
-PageNum Os::allocate_frame(PageNum vpage, NodeId toucher) {
+PageNum Os::allocate_frame(NodeId toucher) {
   NodeId preferred = toucher;
   if (policy_ == AllocPolicy::kInterleave) {
     preferred = static_cast<NodeId>(interleave_next_++ % num_nodes_);
   }
-  (void)vpage;
   for (const NodeId candidate : spill_order(preferred)) {
     if (auto frame = frames_.allocate_on(candidate)) {
       ++stats_.pages_mapped;
@@ -120,8 +105,7 @@ const PageNum* Os::touch_slow(const PageKey& key, NodeId node) {
     // the touch from that node recomputes the same placement.
     touch_observer_(touch_observer_ctx_, key.asid, key.vpage, node);
   }
-  return page_table_.try_emplace(key, allocate_frame(key.vpage, toucher))
-      .first;
+  return page_table_.try_emplace(key, allocate_frame(toucher)).first;
 }
 
 std::optional<Addr> Os::translate(AddressSpaceId asid, Addr vaddr) const {
@@ -129,36 +113,6 @@ std::optional<Addr> Os::translate(AddressSpaceId asid, Addr vaddr) const {
   const PageNum* frame = page_table_.find(PageKey{asid, page_of(vaddr)});
   if (frame == nullptr) return std::nullopt;
   return addr_of_page(*frame) | (vaddr & (kPageBytes - 1));
-}
-
-void Os::place_thread(ThreadId thread, NodeId node) {
-  thread_node_[thread] = node;
-}
-
-NodeId Os::node_of_thread(ThreadId thread) const {
-  const NodeId* node = thread_node_.find(thread);
-  return node == nullptr ? kInvalidNode : *node;
-}
-
-void Os::migrate_thread(ThreadId thread, NodeId node) {
-  thread_node_[thread] = node;
-  ++stats_.migrations;
-}
-
-// ------------------------------------------------------- RangeRegisters ----
-
-void RangeRegisters::add_range(Addr base, std::uint64_t length) {
-  ranges_.emplace_back(base, base + length);
-}
-
-void RangeRegisters::clear() { ranges_.clear(); }
-
-bool RangeRegisters::active(Addr paddr) const {
-  if (ranges_.empty()) return true;  // No registers configured: always on.
-  for (const auto& [lo, hi] : ranges_) {
-    if (paddr >= lo && paddr < hi) return true;
-  }
-  return false;
 }
 
 }  // namespace allarm::numa

@@ -31,16 +31,9 @@ class FrameAllocator {
  public:
   FrameAllocator(std::uint32_t num_nodes, std::uint64_t frames_per_node);
 
-  /// Caps every node at `frames` usable frames (models memory pressure;
-  /// must not exceed the physical frames per node).
-  void set_node_capacity(std::uint64_t frames);
-
-  /// Allocates one frame on `node`; returns std::nullopt when full.
-  /// Frames are never freed: a run maps each page once.
+  /// Allocates one frame on `node`; returns std::nullopt when all of its
+  /// frames are taken.  Frames are never freed: a run maps each page once.
   std::optional<PageNum> allocate_on(NodeId node);
-
-  std::uint64_t free_frames(NodeId node) const;
-  std::uint64_t frames_per_node() const { return frames_per_node_; }
 
   /// Node owning a physical frame.
   NodeId node_of_frame(PageNum frame) const {
@@ -48,13 +41,9 @@ class FrameAllocator {
   }
 
  private:
-  struct NodePool {
-    std::uint64_t capacity = 0;   ///< Usable frames.
-    std::uint64_t allocated = 0;  ///< Frames handed out; the next one's index.
-  };
-
   std::uint64_t frames_per_node_;
-  std::vector<NodePool> pools_;
+  /// Per node: frames handed out, which is also the next one's index.
+  std::vector<std::uint64_t> allocated_;
 };
 
 /// OS statistics relevant to the paper's assumptions (Section II-A).
@@ -74,7 +63,8 @@ inline constexpr Addr kKernelSpaceBase = 0x4000'0000'0000ull;
 /// Address-space id used internally for kernel mappings.
 inline constexpr AddressSpaceId kKernelAsid = 0xFFFFFFFFu;
 
-/// Page tables + allocator + a minimal thread scheduler.
+/// Page tables + frame allocator.  Threads are placed by core::System,
+/// which passes each touch its thread's current node.
 class Os {
  public:
   Os(const SystemConfig& config, AllocPolicy policy);
@@ -106,11 +96,6 @@ class Os {
                                    : paddr / dram_bytes_per_node_);
   }
 
-  /// Caps usable frames per node (memory-pressure experiments).
-  void set_node_capacity(std::uint64_t frames) {
-    frames_.set_node_capacity(frames);
-  }
-
   /// Observer of first-touch page mappings: called from the unmapped-page
   /// path only (never on the page-table-hit fast path) with the mapped
   /// key's address space (kernel touches report kKernelAsid), the virtual
@@ -124,16 +109,8 @@ class Os {
     touch_observer_ctx_ = ctx;
   }
 
-  // --- Thread scheduling ---------------------------------------------------
-
-  /// Binds `thread` to `node` (initial placement or migration).
-  void place_thread(ThreadId thread, NodeId node);
-
-  /// Current node of `thread`; kInvalidNode when never placed.
-  NodeId node_of_thread(ThreadId thread) const;
-
-  /// Moves `thread` to `node`, counting a migration.
-  void migrate_thread(ThreadId thread, NodeId node);
+  /// Counts one thread migration (the `os.migrations` stat).
+  void count_migration() { ++stats_.migrations; }
 
   const OsStats& stats() const { return stats_; }
   AllocPolicy policy() const { return policy_; }
@@ -143,7 +120,7 @@ class Os {
   /// (self first, then by Manhattan distance on the mesh, ties by id).
   const std::vector<NodeId>& spill_order(NodeId node) const;
 
-  PageNum allocate_frame(PageNum vpage, NodeId toucher);
+  PageNum allocate_frame(NodeId toucher);
 
   struct PageKey;  // Defined below; touch_slow takes it by reference.
 
@@ -176,32 +153,11 @@ class Os {
   AllocPolicy policy_;
   FrameAllocator frames_;
   FlatMap<PageKey, PageNum, PageKeyHash> page_table_;
-  FlatMap<ThreadId, NodeId> thread_node_;
   TouchObserver touch_observer_ = nullptr;
   void* touch_observer_ctx_ = nullptr;
   std::vector<std::vector<NodeId>> spill_orders_;
   std::uint64_t interleave_next_ = 0;
   OsStats stats_;
-};
-
-/// MTRR-like range registers selecting the physical ranges on which ALLARM
-/// is active (Section II-C).  An empty register file means "ALLARM applies
-/// everywhere" so that the common configuration needs no setup.
-class RangeRegisters {
- public:
-  /// Adds an active range [base, base + length).
-  void add_range(Addr base, std::uint64_t length);
-
-  /// Removes all ranges (back to "active everywhere").
-  void clear();
-
-  /// True when ALLARM is active for `paddr`.
-  bool active(Addr paddr) const;
-
-  std::size_t num_ranges() const { return ranges_.size(); }
-
- private:
-  std::vector<std::pair<Addr, Addr>> ranges_;  // [base, end)
 };
 
 }  // namespace allarm::numa

@@ -57,11 +57,6 @@ void RTracker::reset_private(RegionNum region, NodeId owner) {
   info.block_entries = 0;
 }
 
-void RTracker::clear() {
-  map_.clear();
-  shared_ = 0;
-}
-
 // -------------------------------------------------------- RegionDirectory ----
 
 RegionDirectory::RegionDirectory(std::uint32_t region_size_bytes)
@@ -163,12 +158,6 @@ RegionDirectory::Removal RegionDirectory::note_block_removed(RegionNum region,
   entry.presence = 0;
   tracker_.reset_private(region, owner);
   return Removal::kRecollected;
-}
-
-void RegionDirectory::clear() {
-  table_.clear();
-  tracker_.clear();
-  presence_bits_ = 0;
 }
 
 }  // namespace allarm::region

@@ -110,8 +110,6 @@ class RTracker {
   std::uint64_t tracked() const { return map_.size(); }
   std::uint64_t shared_count() const { return shared_; }
 
-  void clear();
-
  private:
   FlatMap<RegionNum, Info> map_;
   std::uint64_t shared_ = 0;  ///< Live count (FlatMap is never iterated).
@@ -195,9 +193,6 @@ class RegionDirectory {
 
   /// Zeroes the counters, keeping table contents (ROI boundary).
   void reset_stats() { stats_ = RegionStats{}; }
-
-  /// Drops all state (between experiment repetitions).
-  void clear();
 
  private:
   RegionGeometry geometry_;

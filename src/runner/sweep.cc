@@ -38,7 +38,7 @@ void validate_axes(const SweepSpec& spec) {
 // exists to refuse — so growing the struct must fail loudly here until
 // fold_config() is updated (the size is stable on the LP64 targets this
 // simulator supports).
-static_assert(sizeof(SystemConfig) == 176,
+static_assert(sizeof(SystemConfig) == 168,
               "SystemConfig changed: update fold_config() to hash the new "
               "field, then update this assert");
 
@@ -53,7 +53,9 @@ void fold_config(Fnv1a64& h, const SystemConfig& c) {
   fold_cache(c.l1i);
   fold_cache(c.l1d);
   fold_cache(c.l2);
-  h.update_u32(static_cast<std::uint32_t>(c.cache_replacement));
+  // The caches' replacement policy, once a field and always LRU (0): its
+  // word stays in the hash so pinned spec and cell hashes hold.
+  h.update_u32(0);
   h.update_u32(c.probe_filter_coverage_bytes);
   h.update_u32(c.probe_filter_ways);
   h.update_u64(static_cast<std::uint64_t>(c.probe_filter_latency));

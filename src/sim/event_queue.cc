@@ -32,44 +32,4 @@ std::uint64_t EventQueue::run(std::uint64_t max_events) {
   return n;
 }
 
-void EventQueue::run_until(Tick until) {
-  // Peek WITHOUT moving the window: advancing it to the next pending tick
-  // when that lies beyond `until` would let an event scheduled afterwards
-  // below that tick land behind the window start and execute out of
-  // order.  A pure read keeps window_ <= every pending tick.
-  while (true) {
-    Tick next;
-    if (near_count_ > 0) {
-      // Bucket ticks all lie below window_ + kNearTicks <= any far tick,
-      // so the earliest near event is the global minimum.
-      next = nodes_[buckets_[first_live()].head].when;
-    } else if (!far_.empty()) {
-      next = far_.front().when;
-    } else {
-      break;
-    }
-    if (next > until) break;
-    run_one();
-  }
-  if (now_ < until) now_ = until;
-}
-
-void EventQueue::clear() {
-  for (std::size_t w = 0; w < kLiveWords; ++w) {
-    for (std::uint64_t word = live_[w]; word != 0; word &= word - 1) {
-      Bucket& bucket = buckets_[(w << 6) + lowest_set_bit(word)];
-      for (std::uint32_t i = bucket.head; i != kNil;) {
-        const std::uint32_t next = nodes_[i].next;
-        release_node(i);
-        i = next;
-      }
-      bucket.head = bucket.tail = kNil;
-    }
-    live_[w] = 0;
-  }
-  near_count_ = 0;
-  for (const FarRef& ref : far_) release_node(ref.node);
-  far_.clear();
-}
-
 }  // namespace allarm::sim

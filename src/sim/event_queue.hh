@@ -70,13 +70,6 @@ class EventQueue {
   /// Returns the number of events executed by this call.
   std::uint64_t run(std::uint64_t max_events = ~0ull);
 
-  /// Runs until the queue drains or simulated time exceeds `until`.
-  /// Events scheduled at exactly `until` are executed.
-  void run_until(Tick until);
-
-  /// Discards all pending events (used between experiment repetitions).
-  void clear();
-
  private:
   /// Near-tier geometry: 256 buckets of 512 ticks, 2^17 ticks (131 ns) in
   /// all.  Cache, mesh and DRAM hops (1-60 ns) and the 100 ns core

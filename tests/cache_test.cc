@@ -1,5 +1,5 @@
-// Unit tests for replacement policies, the cache array, and the exclusive
-// L1/L2 hierarchy.
+// Unit tests for LRU replacement, the cache array, and the exclusive L1/L2
+// hierarchy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -122,58 +122,13 @@ TEST(Lru, MatchesStampLruOnRandomSequences) {
 TEST(Lru, RejectsMoreWaysThanAByteRanks) {
   EXPECT_NO_THROW(LruPolicy(1, 255));
   EXPECT_THROW(LruPolicy(1, 256), std::invalid_argument);
-  EXPECT_THROW(make_policy(ReplacementKind::kLru, 1, 8192, 0),
-               std::invalid_argument);
-}
-
-TEST(TreePlru, VictimAvoidsRecentlyTouched) {
-  TreePlruPolicy plru(1, 4);
-  std::vector<bool> all(4, true);
-  for (std::uint32_t w = 0; w < 4; ++w) plru.touch(0, w);
-  const std::uint32_t victim = plru.victim(0, all);
-  EXPECT_NE(victim, 3u);  // Way 3 was touched last.
-}
-
-TEST(TreePlru, RequiresPowerOfTwoWays) {
-  EXPECT_THROW(TreePlruPolicy(1, 3), std::invalid_argument);
-}
-
-TEST(TreePlru, FallsBackWhenImpliedVictimPinned) {
-  TreePlruPolicy plru(1, 4);
-  std::vector<bool> all(4, true);
-  const std::uint32_t implied = plru.victim(0, all);
-  std::vector<bool> eligible(4, true);
-  eligible[implied] = false;
-  const std::uint32_t fallback = plru.victim(0, eligible);
-  EXPECT_NE(fallback, implied);
-  EXPECT_TRUE(eligible[fallback]);
-}
-
-TEST(Random, DeterministicPerSeed) {
-  RandomPolicy a(1, 4, 99), b(1, 4, 99);
-  std::vector<bool> all(4, true);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(a.victim(0, all), b.victim(0, all));
-}
-
-TEST(Random, OnlyPicksEligible) {
-  RandomPolicy r(1, 4, 5);
-  std::vector<bool> eligible{false, true, false, true};
-  for (int i = 0; i < 100; ++i) {
-    const auto v = r.victim(0, eligible);
-    EXPECT_TRUE(v == 1u || v == 3u);
-  }
-}
-
-TEST(Factory, BuildsAllKinds) {
-  EXPECT_NE(make_policy(ReplacementKind::kLru, 2, 2, 0), nullptr);
-  EXPECT_NE(make_policy(ReplacementKind::kTreePlru, 2, 2, 0), nullptr);
-  EXPECT_NE(make_policy(ReplacementKind::kRandom, 2, 2, 0), nullptr);
+  EXPECT_THROW(Cache(tiny_cache(256, 256), "t"), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ cache ----
 
 TEST(Cache, InsertFindErase) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 2), "t");
   EXPECT_FALSE(c.contains(100));
   EXPECT_FALSE(c.insert(100, LineState::kExclusive).valid());
   EXPECT_EQ(c.state_of(100), LineState::kExclusive);
@@ -184,7 +139,7 @@ TEST(Cache, InsertFindErase) {
 }
 
 TEST(Cache, EvictsWithinSetWhenFull) {
-  Cache c(tiny_cache(4, 2), ReplacementKind::kLru, 0, "t");  // 2 sets x 2 ways.
+  Cache c(tiny_cache(4, 2), "t");  // 2 sets x 2 ways.
   // Lines 0, 2, 4 all map to set 0.
   c.insert(0, LineState::kModified);
   c.insert(2, LineState::kShared);
@@ -196,7 +151,7 @@ TEST(Cache, EvictsWithinSetWhenFull) {
 }
 
 TEST(Cache, TouchChangesVictim) {
-  Cache c(tiny_cache(4, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(4, 2), "t");
   c.insert(0, LineState::kShared);
   c.insert(2, LineState::kShared);
   c.touch(0);  // Line 2 becomes LRU.
@@ -205,20 +160,20 @@ TEST(Cache, TouchChangesVictim) {
 }
 
 TEST(Cache, RejectsDoubleInsert) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 2), "t");
   c.insert(1, LineState::kShared);
   EXPECT_THROW(c.insert(1, LineState::kShared), std::logic_error);
 }
 
 TEST(Cache, RejectsInvalidStateOperations) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 2), "t");
   EXPECT_THROW(c.insert(1, LineState::kInvalid), std::invalid_argument);
   c.insert(1, LineState::kShared);
   EXPECT_THROW(c.set_state(1, LineState::kInvalid), std::invalid_argument);
 }
 
 TEST(Cache, SetStateInPlace) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 2), "t");
   c.insert(1, LineState::kExclusive);
   EXPECT_TRUE(c.set_state(1, LineState::kModified));
   EXPECT_EQ(c.state_of(1), LineState::kModified);
@@ -226,7 +181,7 @@ TEST(Cache, SetStateInPlace) {
 }
 
 TEST(Cache, ForEachVisitsAllLines) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 2), "t");
   c.insert(1, LineState::kShared);
   c.insert(2, LineState::kModified);
   std::set<LineAddr> seen;
@@ -234,17 +189,9 @@ TEST(Cache, ForEachVisitsAllLines) {
   EXPECT_EQ(seen, (std::set<LineAddr>{1, 2}));
 }
 
-TEST(Cache, ClearEmptiesEverything) {
-  Cache c(tiny_cache(8, 2), ReplacementKind::kLru, 0, "t");
-  c.insert(1, LineState::kShared);
-  c.clear();
-  EXPECT_EQ(c.occupancy(), 0u);
-  EXPECT_FALSE(c.contains(1));
-}
-
 TEST(Cache, HoldsWideLinesInEveryStateUnchanged) {
   // Lines keep their full width: perfbench feeds virtual line numbers.
-  Cache c(tiny_cache(8, 4), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 4), "t");
   const LineState states[] = {LineState::kShared, LineState::kExclusive,
                               LineState::kOwned, LineState::kModified};
   const LineAddr wide = (LineAddr{1} << 40) + 6;  // Set 0 of 2.
@@ -268,7 +215,7 @@ TEST(Cache, HoldsWideLinesInEveryStateUnchanged) {
 }
 
 TEST(Cache, StateRefRewritesOnlyTheState) {
-  Cache c(tiny_cache(8, 4), ReplacementKind::kLru, 0, "t");
+  Cache c(tiny_cache(8, 4), "t");
   const LineAddr line = (LineAddr{1} << 50) + 1;
   c.insert(line, LineState::kExclusive);
   const StateRef ref = c.touch_ref(line);
@@ -390,13 +337,13 @@ TEST(Hierarchy, FillRejectsDuplicates) {
                std::invalid_argument);
 }
 
-TEST(Hierarchy, OccupancyAndClear) {
+TEST(Hierarchy, OccupancyCountsEveryArray) {
   Hierarchy h(small_system(), 1, "n0");
   h.fill(Array::kL1D, 1, LineState::kShared);
   h.fill(Array::kL1I, 2, LineState::kShared);
   EXPECT_EQ(h.occupancy(), 2u);
-  h.clear();
-  EXPECT_EQ(h.occupancy(), 0u);
+  h.invalidate(1);
+  EXPECT_EQ(h.occupancy(), 1u);
 }
 
 // Model check: random fill/promote/invalidate/downgrade/set_state traffic

@@ -317,41 +317,6 @@ TEST(Protocol, SerializedProbeIsNeverHidden) {
   EXPECT_EQ(system.directory(0).stats().remote_miss_probe_hidden, 0u);
 }
 
-// --------------------------------------------------------- configuration ----
-
-TEST(Protocol, RangeRegistersDisableAllarm) {
-  // ALLARM active only on node 15's physical range: a local miss at node 0
-  // falls back to baseline allocation.
-  SystemConfig config = small_config();
-  config.directory_mode = DirectoryMode::kAllarm;
-  core::System system(config);
-  system.allarm_ranges().add_range(15ull * config.dram_bytes_per_node(),
-                                   config.dram_bytes_per_node());
-  core::RunOptions options;
-  options.seed = 1;
-  system.run(make_scripted({{0, {load(priv(0, 0))}}}), options);
-  EXPECT_EQ(system.directory(0).stats().local_no_alloc, 0u);
-  EXPECT_EQ(system.directory(0).probe_filter().stats().inserts, 1u);
-}
-
-TEST(Protocol, PerDirectoryModeOverride) {
-  // Node 0 runs baseline, node 1 runs ALLARM; local misses at each behave
-  // accordingly.
-  SystemConfig config = small_config();
-  config.directory_mode = DirectoryMode::kBaseline;
-  core::System system(config);
-  system.set_directory_mode(1, DirectoryMode::kAllarm);
-  core::RunOptions options;
-  options.seed = 1;
-  auto spec = make_scripted({
-      {0, {load(priv(0, 0))}},
-      {1, {load(priv(1, 0))}},
-  });
-  system.run(spec, options);
-  EXPECT_EQ(system.directory(0).stats().local_no_alloc, 0u);
-  EXPECT_EQ(system.directory(1).stats().local_no_alloc, 1u);
-}
-
 TEST(Protocol, InstructionFetchesUseTheL1I) {
   auto ran = run_scripted(
       small_config(), DirectoryMode::kBaseline,

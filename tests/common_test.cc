@@ -114,7 +114,6 @@ TEST(Config, CapsAssociativityAt255Ways) {
 TEST(Config, ModeNames) {
   EXPECT_EQ(to_string(DirectoryMode::kBaseline), "baseline");
   EXPECT_EQ(to_string(DirectoryMode::kAllarm), "allarm");
-  EXPECT_EQ(to_string(ReplacementKind::kLru), "lru");
 }
 
 // ------------------------------------------------------------------- rng ----

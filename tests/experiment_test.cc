@@ -98,16 +98,6 @@ TEST(Protocol, DirectoryQuiescentAfterRun) {
   EXPECT_TRUE(ran.system->quiescent());
 }
 
-TEST(Protocol, FabricRangeHelper) {
-  SystemConfig config = small_config();
-  core::System system(config);
-  // Empty registers: active everywhere; configured: only inside.
-  EXPECT_TRUE(system.allarm_ranges().active(0x1000));
-  system.allarm_ranges().add_range(0x2000, 0x1000);
-  EXPECT_FALSE(system.allarm_ranges().active(0x1000));
-  EXPECT_TRUE(system.allarm_ranges().active(0x2800));
-}
-
 TEST(Protocol, RuntimeScalesWithAccessCount) {
   SystemConfig config = small_config();
   auto make = [&](std::uint32_t n) {

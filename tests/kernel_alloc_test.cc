@@ -1,58 +1,20 @@
 // Allocation instrumentation for the event kernel.
 //
-// Overrides global operator new/delete with counting wrappers and asserts
+// Counts global operator new calls and bytes (counting_new.hh) and asserts
 // the tentpole property of the allocation-free kernel: once warmed up,
 // scheduling and executing events whose closures fit sim::Event's inline
 // buffer performs ZERO heap allocations -- the node arena, the far heap
-// and the buckets all recycle their capacity.  The same wrappers count
-// bytes, pinning how much one simulated machine and its end-of-run
-// invariant check allocate.
+// and the buckets all recycle their capacity.  The byte count pins how
+// much one simulated machine and its end-of-run invariant check allocate.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "core/experiment.hh"
 #include "core/system.hh"
+#include "counting_new.hh"
 #include "sim/event_queue.hh"
 #include "workload/profiles.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-std::atomic<std::uint64_t> g_new_bytes{0};
-}  // namespace
-
-// AddressSanitizer owns the global allocator; forwarding counting wrappers
-// to malloc/free trips its alloc-dealloc-mismatch checker.  Under ASan the
-// counters stay at zero (the zero-new assertions become vacuous) and the
-// suite's value is the sanitizer's own checking of the arena recycling.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALLARM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALLARM_COUNTING_NEW 0
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-
-#if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // ALLARM_COUNTING_NEW
 
 namespace allarm::sim {
 namespace {

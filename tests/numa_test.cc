@@ -1,5 +1,5 @@
 // Unit tests for the OS memory model: first-touch / interleaved placement,
-// spill, kernel space, range registers, scheduling.
+// spill and kernel space.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -30,13 +30,6 @@ TEST(FrameAllocator, HandsOutDistinctFrames) {
     EXPECT_TRUE(seen.insert(*f).second);
   }
   EXPECT_FALSE(fa.allocate_on(0).has_value());  // Exhausted.
-}
-
-TEST(FrameAllocator, CapacityCap) {
-  FrameAllocator fa(1, 100);
-  fa.set_node_capacity(3);
-  EXPECT_EQ(fa.free_frames(0), 3u);
-  EXPECT_THROW(fa.set_node_capacity(1000), std::invalid_argument);
 }
 
 TEST(Os, FirstTouchHomesAtToucher) {
@@ -73,8 +66,8 @@ TEST(Os, AddressSpacesAreIsolated) {
 
 TEST(Os, SpillsToNearestNeighbourWhenFull) {
   SystemConfig config = table1();
+  config.dram_total_bytes = 16 * 2 * kPageBytes;  // Two frames per node.
   Os os(config, AllocPolicy::kFirstTouch);
-  os.set_node_capacity(2);
   // Exhaust node 5, then watch the third page spill to a 1-hop neighbour.
   os.touch(0, 0x10000, 5);
   os.touch(0, 0x20000, 5);
@@ -92,8 +85,8 @@ TEST(Os, ThrowsWhenAllMemoryExhausted) {
   config.mesh_width = 1;
   config.mesh_height = 1;
   config.num_cores = 1;
+  config.dram_total_bytes = kPageBytes;  // One frame.
   Os os(config, AllocPolicy::kFirstTouch);
-  os.set_node_capacity(1);
   os.touch(0, 0x1000, 0);
   EXPECT_THROW(os.touch(0, 0x2000, 0), std::runtime_error);
 }
@@ -130,36 +123,6 @@ TEST(Os, KernelPagesInterleaveByPageIndex) {
     homes.insert(os.home_of(os.touch(0, kKernelSpaceBase + i * kPageBytes, 0)));
   }
   EXPECT_EQ(homes.size(), 16u);
-}
-
-TEST(Os, ThreadPlacementAndMigration) {
-  Os os(table1(), AllocPolicy::kFirstTouch);
-  EXPECT_EQ(os.node_of_thread(3), kInvalidNode);
-  os.place_thread(3, 11);
-  EXPECT_EQ(os.node_of_thread(3), 11);
-  os.migrate_thread(3, 2);
-  EXPECT_EQ(os.node_of_thread(3), 2);
-  EXPECT_EQ(os.stats().migrations, 1u);
-}
-
-TEST(RangeRegisters, EmptyMeansAlwaysActive) {
-  RangeRegisters rr;
-  EXPECT_TRUE(rr.active(0));
-  EXPECT_TRUE(rr.active(0xFFFFFFFF));
-}
-
-TEST(RangeRegisters, RespectsConfiguredRanges) {
-  RangeRegisters rr;
-  rr.add_range(0x1000, 0x1000);
-  EXPECT_TRUE(rr.active(0x1000));
-  EXPECT_TRUE(rr.active(0x1FFF));
-  EXPECT_FALSE(rr.active(0x2000));
-  EXPECT_FALSE(rr.active(0xFFF));
-  rr.add_range(0x8000, 0x100);
-  EXPECT_TRUE(rr.active(0x8050));
-  EXPECT_EQ(rr.num_ranges(), 2u);
-  rr.clear();
-  EXPECT_TRUE(rr.active(0xFFF));  // Back to "everywhere".
 }
 
 // Property: frame scrambling is a bijection (no frame handed out twice even

@@ -94,28 +94,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128u, 4u), std::make_tuple(256u, 2u),
                       std::make_tuple(512u, 8u)));
 
-class ReplacementProperty
-    : public ::testing::TestWithParam<ReplacementKind> {};
-
-TEST_P(ReplacementProperty, AllPoliciesRunCleanly) {
-  SystemConfig config;
-  config.cache_replacement = GetParam();
-  config.probe_filter_replacement = GetParam();
-  config.directory_mode = DirectoryMode::kAllarm;
-  const auto spec = workload::make_benchmark("dedup", config, 500);
-  core::System system(config);
-  core::RunOptions options;
-  options.seed = 31;
-  core::RunResult r;
-  ASSERT_NO_THROW(r = system.run(spec, options));
-  EXPECT_EQ(r.stats.get("sanity.upgrade_without_line"), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, ReplacementProperty,
-                         ::testing::Values(ReplacementKind::kLru,
-                                           ReplacementKind::kTreePlru,
-                                           ReplacementKind::kRandom));
-
 // ----------------------------------------------------------- seed sweeps ----
 
 class SeedProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,55 +3,20 @@
 // eviction recollection protocol flows on a full System, the degenerate
 // region-size == line-size byte-equivalence oracle against the baseline
 // sweep reports, and allocation-freedom of the FlatMap-backed region table
-// under the counting-new harness (kernel_alloc_test pattern).
+// under the counting allocator (counting_new.hh).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "counting_new.hh"
 #include "region/region.hh"
 #include "runner/report.hh"
 #include "runner/sweep.hh"
 #include "test_util.hh"
 #include "workload/profiles.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// AddressSanitizer owns the global allocator; forwarding counting wrappers
-// to malloc/free trips its alloc-dealloc-mismatch checker.  Under ASan the
-// counters stay at zero (the zero-new assertions become vacuous) and the
-// suite's value is the sanitizer's own checking of the table recycling.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALLARM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALLARM_COUNTING_NEW 0
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-
-#if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // ALLARM_COUNTING_NEW
 
 namespace allarm {
 namespace {

@@ -387,6 +387,8 @@ TEST_F(BenchJobsEnv, ReadsEnvironmentVariable) {
   setenv("ALLARM_JOBS", "5", 1);
   EXPECT_EQ(core::bench_jobs(), 5u);
   EXPECT_EQ(core::bench_jobs(3), 5u);  // Env wins over the fallback.
+  setenv("ALLARM_JOBS", "4096", 1);
+  EXPECT_EQ(core::bench_jobs(3), 4096u);
 }
 
 TEST_F(BenchJobsEnv, FallsBackWhenUnsetOrInvalid) {
@@ -398,6 +400,11 @@ TEST_F(BenchJobsEnv, FallsBackWhenUnsetOrInvalid) {
   EXPECT_EQ(core::bench_jobs(3), 3u);
   setenv("ALLARM_JOBS", "not-a-number", 1);
   EXPECT_EQ(core::bench_jobs(3), 3u);
+  // Only a bare run of digits counts: no suffix, space or sign.
+  for (const char* invalid : {"2abc", " 3", "+4", "", "4097", "99999999999"}) {
+    setenv("ALLARM_JOBS", invalid, 1);
+    EXPECT_EQ(core::bench_jobs(7), 7u) << "'" << invalid << "'";
+  }
 }
 
 TEST_F(BenchJobsEnv, SweepRunnerConsumesIt) {

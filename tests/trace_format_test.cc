@@ -5,57 +5,23 @@
 // streaming through next().
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fileio.hh"
 #include "common/rng.hh"
+#include "counting_new.hh"
 #include "trace/convert.hh"
 #include "trace/format.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// Same counting-new arrangement as kernel_alloc_test.cc: under ASan the
-// global allocator belongs to the sanitizer and the zero-alloc assertions
-// become vacuous.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALLARM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALLARM_COUNTING_NEW 0
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-
-#if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // ALLARM_COUNTING_NEW
 
 namespace allarm::trace {
 namespace {
