@@ -40,7 +40,6 @@
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "core/system.hh"
-#include "sim/event.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "workload/profiles.hh"
@@ -58,9 +57,6 @@ struct Row {
   std::string name;
   std::uint64_t events = 0;   ///< Events executed in one run.
   double wall_seconds = 0.0;  ///< Best of --reps.
-  /// Events whose closure overflowed sim::Event's inline buffer, over all
-  /// reps; the allocation-free kernel expects 0.
-  std::uint64_t event_heap_fallbacks = 0;
   double ns_per_event() const {
     return wall_seconds * 1e9 / static_cast<double>(events);
   }
@@ -72,7 +68,6 @@ Row measure(const std::string& name, const SystemConfig& config,
   Row r;
   r.name = name;
   r.wall_seconds = 1e300;
-  const std::uint64_t fallbacks_before = sim::Event::heap_fallbacks();
   for (std::uint64_t i = 0; i < reps; ++i) {
     core::System system(config);
     const auto t0 = std::chrono::steady_clock::now();
@@ -82,7 +77,6 @@ Row measure(const std::string& name, const SystemConfig& config,
         r.wall_seconds, std::chrono::duration<double>(t1 - t0).count());
     r.events = system.events().events_executed();
   }
-  r.event_heap_fallbacks = sim::Event::heap_fallbacks() - fallbacks_before;
   return r;
 }
 
@@ -100,8 +94,7 @@ std::string to_json(const std::vector<Row>& rows, const Options& opt) {
         << ", \"wall_seconds\": " << json_number(r.wall_seconds)
         << ", \"events_per_sec\": "
         << json_number(static_cast<double>(r.events) / r.wall_seconds)
-        << ", \"ns_per_event\": " << json_number(r.ns_per_event())
-        << ", \"event_heap_fallbacks\": " << r.event_heap_fallbacks << "}"
+        << ", \"ns_per_event\": " << json_number(r.ns_per_event()) << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";

@@ -4,7 +4,7 @@
 //
 //   --benchmark NAME     synthetic profile (default ocean-cont); NAME-2p is
 //                        the Section III-B two-process variant; see --list
-//   --trace FILE         replay an access trace instead (see workload/trace.hh)
+//   --trace FILE         replay an access trace instead (see trace/convert.hh)
 //   --mode MODE          baseline | allarm | both (default both)
 //   --accesses N         ROI accesses per thread (default 30000)
 //   --pf-kb N            probe-filter coverage per node in kB (default 512)
@@ -25,6 +25,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cli.hh"
 #include "common/config.hh"
@@ -32,8 +33,8 @@
 #include "core/experiment.hh"
 #include "core/system.hh"
 #include "obs/timeline.hh"
+#include "trace/convert.hh"
 #include "workload/profiles.hh"
-#include "workload/trace.hh"
 
 namespace {
 
@@ -42,11 +43,13 @@ using namespace allarm;
 struct Options {
   std::string benchmark = "ocean-cont";
   std::string trace;
-  std::string mode = "both";
+  /// The modes to run, in order: --mode baseline, allarm or both.
+  std::vector<DirectoryMode> modes{DirectoryMode::kBaseline,
+                                   DirectoryMode::kAllarm};
   std::uint64_t accesses = 30000;
   std::uint32_t pf_kb = 512;
   std::uint32_t pf_ways = 4;
-  std::string policy = "first-touch";
+  numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch;
   bool eviction_buffer = false;
   bool serial_probe = false;
   std::uint32_t migrate_us = 0;
@@ -69,6 +72,8 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
+  std::string mode = "both";
+  std::string policy = "first-touch";
   auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(2);
     return argv[++i];
@@ -77,14 +82,14 @@ Options parse(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--benchmark") o.benchmark = value(i);
     else if (a == "--trace") o.trace = value(i);
-    else if (a == "--mode") o.mode = value(i);
+    else if (a == "--mode") mode = value(i);
     else if (a == "--accesses") o.accesses = cli::parse_u64(a.c_str(), value(i));
     else if (a == "--pf-kb")
       o.pf_kb =
           cli::parse_u64_max(a.c_str(), value(i), cli::kMaxU32 / 1024);
     else if (a == "--pf-ways")
       o.pf_ways = cli::parse_u64_max(a.c_str(), value(i), cli::kMaxU32);
-    else if (a == "--policy") o.policy = value(i);
+    else if (a == "--policy") policy = value(i);
     else if (a == "--eviction-buffer") o.eviction_buffer = true;
     else if (a == "--serial-probe") o.serial_probe = true;
     else if (a == "--migrate-us")
@@ -105,12 +110,17 @@ Options parse(int argc, char** argv) {
       usage(2);
     }
   }
-  if (o.mode != "baseline" && o.mode != "allarm" && o.mode != "both") {
-    std::cerr << "unknown mode '" << o.mode << "'\n";
-    usage(2);
+  // The comparison runs the two paper modes; region mode is `sweep`'s.
+  if (mode != "both") {
+    DirectoryMode one = DirectoryMode::kBaseline;
+    if (!from_string(mode, one) || one == DirectoryMode::kRegion) {
+      std::cerr << "unknown mode '" << mode << "'\n";
+      usage(2);
+    }
+    o.modes = {one};
   }
-  if (o.policy != "first-touch" && o.policy != "interleave") {
-    std::cerr << "unknown policy '" << o.policy << "'\n";
+  if (!numa::from_string(policy, o.policy)) {
+    std::cerr << "unknown policy '" << policy << "'\n";
     usage(2);
   }
   return o;
@@ -124,8 +134,7 @@ core::RunResult run_mode(const Options& o, const SystemConfig& config,
   request.mode = mode;
   request.spec = spec;
   request.seed = o.seed;
-  request.policy = o.policy == "interleave" ? numa::AllocPolicy::kInterleave
-                                            : numa::AllocPolicy::kFirstTouch;
+  request.policy = o.policy;
   request.migration_interval = ticks_from_ns(1000.0) * o.migrate_us;
   request.profile = o.profile;
   return core::run_request(request);
@@ -188,7 +197,7 @@ int main(int argc, char** argv) {
   workload::WorkloadSpec spec;
   try {
     if (!o.trace.empty()) {
-      spec = workload::load_trace_workload(o.trace, config);
+      spec = trace::load_trace_workload(o.trace, config);
     } else {
       spec = workload::make_benchmark(o.benchmark, config, o.accesses);
     }
@@ -201,13 +210,10 @@ int main(int argc, char** argv) {
             << " threads, PF " << o.pf_kb << "kB x" << o.pf_ways << "-way\n\n";
 
   std::optional<core::RunResult> base, allarm;
-  if (o.mode == "baseline" || o.mode == "both") {
-    base = run_mode(o, config, spec, DirectoryMode::kBaseline);
-    print_run("baseline", *base, o.full_stats);
-  }
-  if (o.mode == "allarm" || o.mode == "both") {
-    allarm = run_mode(o, config, spec, DirectoryMode::kAllarm);
-    print_run("allarm", *allarm, o.full_stats);
+  for (const DirectoryMode mode : o.modes) {
+    auto& result = mode == DirectoryMode::kBaseline ? base : allarm;
+    result = run_mode(o, config, spec, mode);
+    print_run(to_string(mode), *result, o.full_stats);
   }
   if (base && allarm) {
     std::cout << "\nspeedup:             "

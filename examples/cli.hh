@@ -1,5 +1,5 @@
 // Shared flag parsing for the command-line tools (sweep, allarm_sim,
-// trace, allarm_serve, quickstart) and bench_kernel_throughput.
+// trace, allarm_serve) and bench_kernel_throughput.
 #pragma once
 
 #include <cstdint>

@@ -3,13 +3,13 @@
 // the directory trace (on stderr) shows each GetS/GetM, probe-filter hit or
 // miss, and - under ALLARM - the local probe of the home node's cache.
 //
-//   ./protocol_trace [baseline|allarm]
+//   ./protocol_trace [baseline|allarm|region]   (default allarm)
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "common/log.hh"
-#include "core/system.hh"
+#include "core/experiment.hh"
 #include "workload/spec.hh"
 
 namespace {
@@ -48,16 +48,18 @@ workload::ThreadSpec thread_on(NodeId node, ThreadId id,
 int main(int argc, char** argv) {
   using namespace allarm;
 
-  const std::string mode_arg = argc > 1 ? argv[1] : "allarm";
-  SystemConfig config;
-  config.directory_mode =
-      mode_arg == "baseline" ? DirectoryMode::kBaseline : DirectoryMode::kAllarm;
+  core::RunRequest request;
+  request.mode = DirectoryMode::kAllarm;
+  if (argc > 2 || (argc == 2 && !from_string(argv[1], request.mode))) {
+    std::cerr << "usage: protocol_trace [baseline|allarm|region]\n";
+    return 2;
+  }
 
   Log::set_level(LogLevel::kTrace);
 
   const Addr line_a = 0x4000'0000;  // First touched by node 0: homed there.
 
-  workload::WorkloadSpec spec;
+  workload::WorkloadSpec& spec = request.spec;
   spec.name = "trace";
   // Node 0 reads then writes its line; node 1 reads it (remote GetS; under
   // ALLARM this is the PF-miss + local-probe path); node 2 writes it
@@ -70,13 +72,9 @@ int main(int argc, char** argv) {
       thread_on(2, 2, {{line_a, AccessType::kStore}}, ticks_from_ns(1000.0)));
 
   std::cout << "Tracing 4 accesses to one line under "
-            << to_string(config.directory_mode)
-            << " (trace lines on stderr)...\n\n";
+            << to_string(request.mode) << " (trace lines on stderr)...\n\n";
 
-  core::System system(config);
-  core::RunOptions options;
-  options.seed = 1;
-  const core::RunResult result = system.run(spec, options);
+  const core::RunResult result = core::run_request(request);
 
   std::cout << "run complete: " << result.stats.get("dir.requests")
             << " directory requests, "

@@ -137,34 +137,32 @@ Options parse(int argc, char** argv) {
 }
 
 DirectoryMode parse_mode(const std::string& text) {
-  if (text == "baseline") return DirectoryMode::kBaseline;
-  if (text == "allarm") return DirectoryMode::kAllarm;
-  if (text == "region") return DirectoryMode::kRegion;
-  throw std::invalid_argument("unknown mode '" + text +
-                              "' (want baseline|allarm|region)");
+  DirectoryMode mode = DirectoryMode::kBaseline;
+  if (!from_string(text, mode)) {
+    throw std::invalid_argument("unknown mode '" + text +
+                                "' (want baseline|allarm|region)");
+  }
+  return mode;
 }
 
 numa::AllocPolicy parse_policy(const std::string& text) {
-  if (text == "first-touch") return numa::AllocPolicy::kFirstTouch;
-  if (text == "interleave") return numa::AllocPolicy::kInterleave;
-  throw std::invalid_argument("unknown policy '" + text +
-                              "' (want first-touch|interleave)");
+  numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch;
+  if (!numa::from_string(text, policy)) {
+    throw std::invalid_argument("unknown policy '" + text +
+                                "' (want first-touch|interleave)");
+  }
+  return policy;
 }
 
-const char* mode_name(std::uint32_t mode) {
-  if (mode == static_cast<std::uint32_t>(DirectoryMode::kAllarm)) {
-    return "allarm";
-  }
-  if (mode == static_cast<std::uint32_t>(DirectoryMode::kRegion)) {
-    return "region";
-  }
-  return "baseline";
+/// The captured mode's name; TraceReader refuses a mode it does not know.
+std::string mode_name(const trace::TraceMeta& meta) {
+  return to_string(static_cast<DirectoryMode>(meta.directory_mode));
 }
 
-const char* policy_name(std::uint32_t policy) {
-  return policy == static_cast<std::uint32_t>(numa::AllocPolicy::kInterleave)
-             ? "interleave"
-             : "first-touch";
+/// The captured policy's name; TraceReader refuses a policy it does not
+/// know.
+std::string policy_name(const trace::TraceMeta& meta) {
+  return numa::to_string(static_cast<numa::AllocPolicy>(meta.alloc_policy));
 }
 
 /// The canonical result block: deterministic for a deterministic run, so
@@ -214,9 +212,9 @@ void print_info_json(const std::string& file, const trace::TraceReader& reader) 
   std::cout << "  \"file\": " << json_quote(file) << ",\n";
   std::cout << "  \"workload\": " << json_quote(meta.workload) << ",\n";
   std::cout << "  \"captured_mode\": "
-            << json_quote(mode_name(meta.directory_mode)) << ",\n";
+            << json_quote(mode_name(meta)) << ",\n";
   std::cout << "  \"captured_policy\": "
-            << json_quote(policy_name(meta.alloc_policy)) << ",\n";
+            << json_quote(policy_name(meta)) << ",\n";
   std::cout << "  \"captured_seed\": "
             << json_number(static_cast<double>(meta.seed)) << ",\n";
   std::cout << "  \"threads\": "
@@ -258,8 +256,8 @@ int cmd_info(const Options& o) {
   const trace::TraceMeta& meta = reader.meta();
   std::cout << "file            " << o.file << "\n";
   std::cout << "workload        " << meta.workload << "\n";
-  std::cout << "captured_mode   " << mode_name(meta.directory_mode) << "\n";
-  std::cout << "captured_policy " << policy_name(meta.alloc_policy) << "\n";
+  std::cout << "captured_mode   " << mode_name(meta) << "\n";
+  std::cout << "captured_policy " << policy_name(meta) << "\n";
   std::cout << "captured_seed   " << meta.seed << "\n";
   std::cout << "threads         " << reader.thread_count() << "\n";
   std::cout << "records         " << reader.total_records() << "\n";
@@ -342,11 +340,8 @@ int cmd_replay(const Options& o) {
   std::cerr << "replaying " << o.file << " (" << reader->total_records()
             << " records, mode " << to_string(request.mode) << ", seed "
             << request.seed << ")\n";
-  const workload::WorkloadSpec spec =
-      trace::make_replay_workload(reader, request.config, o.cores);
-  const core::RunResult result = core::run_single(
-      request.config, request.mode, spec, request.seed, request.policy);
-  print_result(meta.workload, result);
+  request.spec = trace::make_replay_workload(reader, request.config, o.cores);
+  print_result(meta.workload, core::run_request(request));
   return 0;
 }
 

@@ -12,8 +12,7 @@ over those shared rows gives one more.  The gate fails (exit 1) when
 
 - the median over rounds of the geomean ratio exceeds GEOMEAN_MAX, or
 - the median of any shared row's ratio exceeds ROW_MAX, or
-- a change row reports event heap fallbacks (the allocation-free kernel
-  regressed) or a non-positive events/time/rate field.
+- a change row reports a non-positive events/time/rate field.
 
 A row only one side reports prints as "new" or "gone" and is not gated.
 The thresholds come from identical-build and injected-slowdown runs
@@ -53,9 +52,6 @@ def row_faults(name, row):
            if not isinstance(row.get(f), (int, float)) or row[f] <= 0]
     if bad:
         return [f"{name}: non-positive {', '.join(bad)}"]
-    if row.get("event_heap_fallbacks") != 0:
-        return [f"{name}: {row.get('event_heap_fallbacks')} event heap "
-                "fallbacks (allocation-free kernel regressed)"]
     return []
 
 

@@ -8,7 +8,7 @@
 #                          and every recorded gap must still print, so no
 #                          claim silently leaves the smoke;
 #  2. usage errors       - scorecard on a truncated report exits 2 naming
-#                          the file; quickstart with an unknown benchmark
+#                          the file; allarm_sim with an unknown benchmark
 #                          or a malformed access count exits 2.
 #
 # Budgets: fig3, fig4 and policy carry the checked claims and run at their
@@ -62,15 +62,15 @@ if [ "$RC" -ne 2 ] || ! grep -q "truncated.json" "$WORK/err.txt"; then
     echo "FAIL: scorecard on a truncated report exited $RC, want 2 naming it"
     exit 1
 fi
-for args in "nosuch" "ocean-cont 20k"; do
+for args in "--benchmark nosuch" "--accesses 20k"; do
     RC=0
     # shellcheck disable=SC2086  # word-split the argument list on purpose
-    "$BUILD/quickstart" $args > /dev/null 2>&1 || RC=$?
+    "$BUILD/allarm_sim" $args > /dev/null 2>&1 || RC=$?
     if [ "$RC" -ne 2 ]; then
-        echo "FAIL: quickstart $args exited $RC, want 2"
+        echo "FAIL: allarm_sim $args exited $RC, want 2"
         exit 1
     fi
 done
-echo "OK: truncated report and malformed quickstart arguments exit 2"
+echo "OK: truncated report and malformed allarm_sim arguments exit 2"
 
 echo "scorecard smoke: all checks passed"

@@ -16,16 +16,15 @@ PARENT_NS = {"serial": 130.0, "multithreaded": 150.0, "migration": 160.0,
              "zipf": 180.0}
 
 
-def bench(ns_per_event, fallbacks=0):
+def bench(ns_per_event):
     """One bench run's rows, keyed by name, as run_bench returns them."""
     return {name: {"name": name, "events": 1_000_000,
                    "wall_seconds": ns * 1e-3,
-                   "events_per_sec": 1e9 / ns, "ns_per_event": ns,
-                   "event_heap_fallbacks": fallbacks}
+                   "events_per_sec": 1e9 / ns, "ns_per_event": ns}
             for name, ns in ns_per_event.items()}
 
 
-def rounds(slowdown=None, change_rows=None, fallbacks=0):
+def rounds(slowdown=None, change_rows=None):
     """check_bench.ROUNDS rounds on a machine whose speed drifts by +-5%
     from round to round, which both sides of a round share.  `slowdown`
     scales the change's rows by name; `change_rows` replaces the change's
@@ -39,7 +38,7 @@ def rounds(slowdown=None, change_rows=None, fallbacks=0):
         change = {n: PARENT_NS.get(n, 200.0) * drift * slowdown.get(n, 1.0)
                   for n in names}
         result.append({"parent": bench(parent),
-                       "change": bench(change, fallbacks)})
+                       "change": bench(change)})
     return result
 
 
@@ -66,10 +65,6 @@ class DecideTest(unittest.TestCase):
         self.assertEqual(statuses(report)["zipf"], "SLOWER")
         self.assertEqual(statuses(report)["serial"], "ok")
         self.assertTrue(any(f.startswith("zipf:") for f in report["failures"]))
-
-    def test_heap_fallbacks_fail(self):
-        report = check_bench.decide(rounds(fallbacks=1))
-        self.assertTrue(any("heap fallbacks" in f for f in report["failures"]))
 
     def test_non_positive_field_fails(self):
         data = rounds()

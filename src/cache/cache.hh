@@ -73,7 +73,6 @@ class Cache {
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
-  std::uint32_t capacity_lines() const { return sets_ * ways_; }
   const std::string& name() const { return name_; }
 
   /// Returns the state of `line` (kInvalid when absent). No side effects.

@@ -74,14 +74,6 @@ class CacheController {
     DoneFn(std::nullptr_t) {}  // NOLINT: mirrors std::function.
     DoneFn(Fn fn, void* ctx) : fn_(fn), ctx_(ctx) {}
 
-    /// Wraps a callable owned by the caller; it must stay alive until the
-    /// access completes (callbacks can fire arbitrarily later).
-    template <typename F>
-    static DoneFn of(F& callable) {
-      return DoneFn(
-          [](void* ctx, Tick t) { (*static_cast<F*>(ctx))(t); }, &callable);
-    }
-
     DoneFn& operator=(std::nullptr_t) {
       fn_ = nullptr;
       return *this;

@@ -12,6 +12,17 @@ std::string to_string(DirectoryMode mode) {
   return "unknown";
 }
 
+bool from_string(const std::string& name, DirectoryMode& mode) {
+  for (const auto m : {DirectoryMode::kBaseline, DirectoryMode::kAllarm,
+                       DirectoryMode::kRegion}) {
+    if (to_string(m) == name) {
+      mode = m;
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 void check(bool ok, const std::string& what) {

@@ -18,6 +18,9 @@ enum class DirectoryMode : std::uint8_t {
 };
 
 std::string to_string(DirectoryMode mode);
+/// Parses a to_string name into `mode`; false (and `mode` untouched) when
+/// `name` names no mode.
+bool from_string(const std::string& name, DirectoryMode& mode);
 
 /// Largest associativity of any cache or probe filter: replacement state
 /// ranks the ways of a set in one byte each (cache::LruPolicy).

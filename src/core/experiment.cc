@@ -9,20 +9,10 @@
 #include <thread>
 
 #include "obs/timeline.hh"
+#include "trace/record.hh"
 #include "trace/replay.hh"
-#include "trace/writer.hh"
 
 namespace allarm::core {
-
-RunResult run_single(SystemConfig config, DirectoryMode mode,
-                     const workload::WorkloadSpec& spec, std::uint64_t seed,
-                     numa::AllocPolicy policy) {
-  config.directory_mode = mode;
-  System system(config, policy);
-  RunOptions options;
-  options.seed = seed;
-  return system.run(spec, options);
-}
 
 RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -66,16 +56,24 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
     spec = &replay_spec;
   }
 
+  // Capture wraps whichever workload runs, synthetic or replayed.
   std::optional<trace::TraceWriter> writer;
+  workload::WorkloadSpec recorded_spec;
+  if (!request.capture_trace.empty()) {
+    writer.emplace(request.capture_trace);
+    recorded_spec = trace::record_workload(*spec, *writer);
+    spec = &recorded_spec;
+    trace::TraceMeta& meta = writer->meta();
+    meta.seed = request.seed;
+    meta.directory_mode = static_cast<std::uint32_t>(request.mode);
+    meta.alloc_policy = static_cast<std::uint32_t>(request.policy);
+  }
+
   RunOptions options;
   options.seed = request.seed;
   options.migration_interval = request.migration_interval;
   options.deadline_ns = deadline_ns;
   options.profile = request.profile;
-  if (!request.capture_trace.empty()) {
-    writer.emplace(request.capture_trace);
-    options.capture = &*writer;
-  }
 
   RunResult result;
   {

@@ -1,6 +1,6 @@
 // Experiment harness: the one place that knows how to run one simulation.
-// The sweep runner schedules RunRequests; the examples and integration
-// tests call run_single directly.
+// The sweep runner, the service and the examples describe a job as a
+// RunRequest and run it through run_request.
 #pragma once
 
 #include <cstdint>
@@ -11,11 +11,6 @@
 #include "workload/spec.hh"
 
 namespace allarm::core {
-
-/// Runs `spec` once on a fresh System with the given directory mode.
-RunResult run_single(SystemConfig config, DirectoryMode mode,
-                     const workload::WorkloadSpec& spec, std::uint64_t seed,
-                     numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch);
 
 /// Self-contained description of one simulation run: everything a worker
 /// thread needs to execute the run with no shared state.  This is the unit
@@ -30,8 +25,9 @@ struct RunRequest {
   /// interval.  A replay must run with the capture run's interval.
   Tick migration_interval = 0;
   /// When non-empty, the run's executed access stream (plus workload
-  /// metadata and setup placements) is captured to this .altr trace file.
-  /// Pure side effect: results are unchanged (see docs/TRACES.md).
+  /// metadata and setup placements) is captured to this .altr trace file,
+  /// a replayed run's too.  Pure side effect: results are unchanged (see
+  /// docs/TRACES.md).
   std::string capture_trace;
   /// When non-empty, the run replays this .altr trace instead of building
   /// `spec`'s generators, and the results are byte-identical to the

@@ -4,30 +4,10 @@
 #include <stdexcept>
 
 #include "common/log.hh"
-#include "trace/writer.hh"
 
 namespace allarm::core {
 
 namespace {
-
-/// Number of rng draws separating two generator states: steps `before`
-/// forward until it matches `after`.  Capture-only instrumentation — the
-/// draw count per access is small (a Mix pick plus a child's one or two
-/// draws, with rare Lemire rejections), so the walk is a handful of
-/// state comparisons.
-std::uint32_t count_draws(Rng probe, const Rng& after) {
-  constexpr std::uint32_t kMaxDraws = 65536;
-  std::uint32_t draws = 0;
-  while (probe != after) {
-    probe.next();
-    if (++draws > kMaxDraws) {
-      throw std::runtime_error(
-          "trace capture: generator consumed an implausible number of rng "
-          "draws for one access");
-    }
-  }
-  return draws;
-}
 
 /// One cached copy for the invariant check, packed into one word: the line
 /// in the high 46 bits, then the node (15 bits), then the state (3 bits).
@@ -86,7 +66,6 @@ struct System::ThreadRuntime {
   /// a single stamp suffices for the request→completion histogram).
   Tick profile_issued_at = 0;
   System* system = nullptr;  ///< Back-pointer for the completion callback.
-  std::uint32_t capture_slot = 0;  ///< Trace-writer slot while capturing.
 };
 
 System::System(const SystemConfig& config, numa::AllocPolicy policy)
@@ -156,17 +135,8 @@ void System::issue_next(ThreadRuntime& thread) {
     return;
   }
   --thread.remaining;
-  workload::Access access;
-  if (capture_ == nullptr) {
-    access = thread.generator->next(thread.rng, events_.now());
-  } else {
-    // Capture: snapshot the rng around the generation so the record
-    // carries the exact draw count replay must burn.
-    const Rng before = thread.rng;
-    access = thread.generator->next(thread.rng, events_.now());
-    capture_->record(thread.capture_slot, access,
-                     count_draws(before, thread.rng));
-  }
+  const workload::Access access =
+      thread.generator->next(thread.rng, events_.now());
   const Addr paddr = os_.touch(thread.spec.asid, access.vaddr, node);
 
   ++accesses_done_;
@@ -268,7 +238,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
   ran_ = true;
   invariant_period_ = options.invariant_check_period;
   migration_rng_ = Rng(options.seed ^ 0xabcdef);
-  capture_ = options.capture;
   if (options.deadline_ns != 0) {
     watchdog_on_ = true;
     watchdog_deadline_ns_ = options.deadline_ns;
@@ -280,28 +249,7 @@ RunResult System::run(const workload::WorkloadSpec& spec,
     for (auto& d : dirs_) d->set_occupancy_histogram(&prof_dir_occupancy_);
   }
 
-  // Capture observes the setup phase's first-touch placements: replaying
-  // those touches, in order, reproduces the page homes (and the
-  // interleave policy's allocation counter) exactly.
-  std::vector<trace::SetupTouch> setup_touches;
-  if (capture_ != nullptr) {
-    os_.set_touch_observer(
-        [](void* ctx, AddressSpaceId asid, PageNum vpage, NodeId node) {
-          static_cast<std::vector<trace::SetupTouch>*>(ctx)->push_back(
-              trace::SetupTouch{asid, vpage, node});
-        },
-        &setup_touches);
-  }
   if (spec.setup) spec.setup(os_);
-  if (capture_ != nullptr) {
-    os_.set_touch_observer(nullptr, nullptr);
-    trace::TraceMeta& meta = capture_->meta();
-    meta.workload = spec.name;
-    meta.seed = options.seed;
-    meta.directory_mode = static_cast<std::uint32_t>(config_.directory_mode);
-    meta.alloc_policy = static_cast<std::uint32_t>(os_.policy());
-    meta.setup = std::move(setup_touches);
-  }
 
   Rng seeder(options.seed);
   for (const workload::ThreadSpec& ts : spec.threads) {
@@ -312,18 +260,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
     rt->remaining = ts.warmup_accesses + ts.accesses;
     rt->node = ts.node;
     rt->in_warmup = ts.warmup_accesses > 0;
-    if (capture_ != nullptr) {
-      trace::TraceThreadMeta thread_meta;
-      thread_meta.id = ts.id;
-      thread_meta.asid = ts.asid;
-      thread_meta.node = ts.node;
-      thread_meta.accesses = ts.accesses;
-      thread_meta.warmup_accesses = ts.warmup_accesses;
-      thread_meta.think = ts.think;
-      thread_meta.think_jitter = ts.think_jitter;
-      thread_meta.start_offset = ts.start_offset;
-      rt->capture_slot = capture_->add_thread(thread_meta);
-    }
     rt->system = this;
     if (rt->in_warmup) ++threads_in_warmup_;
     threads_.push_back(std::move(rt));

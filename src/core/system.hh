@@ -26,10 +26,6 @@
 #include "sim/event_queue.hh"
 #include "workload/spec.hh"
 
-namespace allarm::trace {
-class TraceWriter;  // trace/writer.hh
-}
-
 namespace allarm::core {
 
 /// Optional run-time knobs.
@@ -48,12 +44,6 @@ struct RunOptions {
   /// read every 64th); never schedules events, so `sim.events` and all
   /// results are byte-identical with or without a (met) deadline.
   std::uint64_t deadline_ns = 0;
-  /// When set, the run's full context is captured into this trace writer:
-  /// the workload's thread metadata, the setup phase's first-touch page
-  /// placements, and every executed access with the rng-draw count its
-  /// generator consumed — everything trace replay needs to reproduce the
-  /// run byte-identically.  The caller finishes the writer after run().
-  trace::TraceWriter* capture = nullptr;
   /// When true, the run records latency histograms (per-access
   /// request→completion latency, directory occupancy at request arrival,
   /// mesh queueing delay) into RunResult::profile.  Like the watchdog,
@@ -140,7 +130,6 @@ class System {
   energy::EnergyModel energy_;
 
   std::vector<std::unique_ptr<ThreadRuntime>> threads_;
-  trace::TraceWriter* capture_ = nullptr;  ///< Non-null while capturing.
   Tick migration_interval_ = 0;
   /// Scratch for migration_tick's running-thread census (reused across
   /// ticks instead of reallocating a vector per migration interval).

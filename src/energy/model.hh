@@ -19,15 +19,6 @@
 
 namespace allarm::energy {
 
-/// Aggregate dynamic energy of one run, in nanojoules.
-struct EnergyBreakdown {
-  double noc_nj = 0.0;    ///< Routers + links.
-  double pf_nj = 0.0;     ///< Probe filters (all directories).
-  double region_nj = 0.0; ///< Region tables (zero outside region mode).
-  double dram_nj = 0.0;   ///< DRAM accesses.
-  double total_nj() const { return noc_nj + pf_nj + region_nj + dram_nj; }
-};
-
 /// Dynamic energy / area model.
 class EnergyModel {
  public:

@@ -6,6 +6,24 @@
 
 namespace allarm::numa {
 
+std::string to_string(AllocPolicy policy) {
+  switch (policy) {
+    case AllocPolicy::kFirstTouch: return "first-touch";
+    case AllocPolicy::kInterleave: return "interleave";
+  }
+  return "unknown";
+}
+
+bool from_string(const std::string& name, AllocPolicy& policy) {
+  for (const auto p : {AllocPolicy::kFirstTouch, AllocPolicy::kInterleave}) {
+    if (to_string(p) == name) {
+      policy = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 // ------------------------------------------------------- FrameAllocator ----
 
 FrameAllocator::FrameAllocator(std::uint32_t num_nodes,

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -24,6 +25,12 @@ enum class AllocPolicy : std::uint8_t {
   kFirstTouch,  ///< Home the page at the first toucher's node (Linux default).
   kInterleave,  ///< Round-robin pages across nodes (ablation).
 };
+
+/// "first-touch" or "interleave".
+std::string to_string(AllocPolicy policy);
+/// Parses a to_string name into `policy`; false (and `policy` untouched)
+/// when `name` names no policy.
+bool from_string(const std::string& name, AllocPolicy& policy);
 
 /// Per-node physical frame allocator.  Node `n` owns the frame range
 /// [n * frames_per_node, (n+1) * frames_per_node).
@@ -113,7 +120,6 @@ class Os {
   void count_migration() { ++stats_.migrations; }
 
   const OsStats& stats() const { return stats_; }
-  AllocPolicy policy() const { return policy_; }
 
  private:
   /// Nodes in preference order for an allocation from `node`

@@ -185,7 +185,6 @@ class RegionDirectory {
   RegionStats& stats_mut() { return stats_; }
   std::uint64_t entries() const { return table_.size(); }
   std::uint64_t presence_bits() const { return presence_bits_; }
-  std::uint64_t tracked_regions() const { return tracker_.tracked(); }
   std::uint64_t shared_regions() const { return tracker_.shared_count(); }
   std::uint64_t private_regions() const {
     return tracker_.tracked() - tracker_.shared_count();

@@ -51,10 +51,11 @@ Summary summary_of(const JsonValue& value) {
 }
 
 DirectoryMode mode_of(const std::string& name) {
-  for (const auto mode : {kBaseline, kAllarm, DirectoryMode::kRegion}) {
-    if (to_string(mode) == name) return mode;
+  DirectoryMode mode = kBaseline;
+  if (!from_string(name, mode)) {
+    throw std::runtime_error("unknown mode \"" + name + "\"");
   }
-  throw std::runtime_error("unknown mode \"" + name + "\"");
+  return mode;
 }
 
 // ----------------------------------------------------------------- values ----

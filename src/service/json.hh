@@ -31,9 +31,7 @@ struct JsonValue {
   /// Object members in document order (duplicate keys are a parse error).
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  bool is_null() const { return kind == Kind::kNull; }
   bool is_bool() const { return kind == Kind::kBool; }
-  bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_object() const { return kind == Kind::kObject; }

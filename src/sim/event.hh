@@ -3,17 +3,13 @@
 // Every coherence hop schedules a small closure (a captured `this` plus a
 // few words of transaction state).  Wrapping those in std::function costs a
 // heap allocation per event on the simulator's hottest path; Event instead
-// stores the callable inline in a fixed small buffer and only falls back to
-// the heap for oversized callables.  The fallback is counted so tests (and
-// the throughput bench) can assert that the closures the simulator actually
-// schedules never allocate.
+// stores the callable inline in a fixed small buffer, and a callable that
+// does not fit fails to compile, so no event ever allocates.
 //
 // Move-only, like the events it carries: an event executes exactly once.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -24,17 +20,16 @@ namespace allarm::sim {
 /// A move-only, small-buffer-optimized `void()` callable.
 class Event {
  public:
-  /// Inline capture budget.  Sized so the common coherence closures -- a
-  /// `this` pointer plus pooled-transaction-state pointer, or `this` plus a
-  /// by-value Request and a word of flags -- fit without touching the heap,
+  /// Inline capture budget, which every closure must fit.  Sized so the
+  /// coherence closures -- a `this` pointer plus pooled-transaction-state
+  /// pointer, or `this` plus a by-value Request and a word of flags -- fit,
   /// while one event-queue arena node (tick + link + Event) is exactly one
   /// 64-byte cache line.
   static constexpr std::size_t kInlineBytes = 40;
 
   /// Inline storage alignment.  Word alignment keeps sizeof(Event) at 48
   /// (a max_align_t buffer would pad it to 64 and push the arena node
-  /// across two cache lines); over-aligned callables take the counted heap
-  /// fallback.
+  /// across two cache lines).
   static constexpr std::size_t kInlineAlign = alignof(void*);
 
   Event() noexcept = default;
@@ -55,17 +50,19 @@ class Event {
                 !std::is_same_v<std::decay_t<F>, Event> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void emplace(F&& fn) {
-    reset();
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(fn)));
-      ops_ = &heap_ops<Fn>;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "Event closure exceeds kInlineBytes: capture a pointer to "
+                  "pooled state instead of the state itself");
+    static_assert(alignof(Fn) <= kInlineAlign,
+                  "Event closure is over-aligned: capture a pointer to "
+                  "pooled state instead of the state itself");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "Event closure has a throwing move: capture a pointer to "
+                  "pooled state instead of the state itself");
+    reset();
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &inline_ops<Fn>;
   }
 
   Event(Event&& other) noexcept : ops_(other.ops_) {
@@ -95,12 +92,6 @@ class Event {
 
   /// Invokes the callable (which must be present).
   void operator()() { ops_->invoke(storage_); }
-
-  /// Number of Events constructed so far whose callable did not fit the
-  /// inline buffer (process-wide; the allocation-free tests pin this).
-  static std::uint64_t heap_fallbacks() {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Ops {
@@ -135,15 +126,6 @@ class Event {
               std::launder(reinterpret_cast<Fn*>(self))->~Fn();
             }};
 
-  // The heap pointer relocates by plain copy, so relocate is null too.
-  template <typename Fn>
-  static constexpr Ops heap_ops = {
-      [](void* self) { (**std::launder(reinterpret_cast<Fn**>(self)))(); },
-      nullptr,
-      [](void* self) noexcept {
-        delete *std::launder(reinterpret_cast<Fn**>(self));
-      }};
-
   void relocate_from(Event& other) noexcept {
     if (ops_->relocate != nullptr) {
       ops_->relocate(storage_, other.storage_);
@@ -159,8 +141,6 @@ class Event {
       ops_ = nullptr;
     }
   }
-
-  static inline std::atomic<std::uint64_t> heap_fallbacks_{0};
 
   const Ops* ops_ = nullptr;
   // Zero-initialized so the fixed-size relocation memcpy never reads

@@ -1,21 +1,25 @@
 // Text-trace interop: a streaming scanner for the legacy
-// "<tid> <L|S|I> <hex-addr>" line format and converters between it and
-// the binary .altr format.
+// "<tid> <L|S|I> <hex-addr>" line format, converters between it and the
+// binary .altr format, and the workload that replays a text trace.
 //
 // The scanner is the one implementation of the text grammar.  A line is
 // "<decimal tid> <L|S|I> <hex addr>": the type letter in either case, the
 // address with an optional 0x.  '#' starts a comment and blank lines are
-// skipped; any other line throws with its line number.
+// skipped; any other line throws with its line number.  `trace cat`
+// writes the same format, and external tools (e.g. a Pin or DynamoRIO
+// client) can produce it.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "common/config.hh"
 #include "common/types.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "workload/generator.hh"
+#include "workload/spec.hh"
 
 namespace allarm::trace {
 
@@ -54,5 +58,15 @@ std::uint64_t convert_text_trace(std::istream& in, TraceWriter& writer);
 /// of 0 means all.  Returns the number of lines written.
 std::uint64_t write_text_trace(const TraceReader& reader, std::ostream& out,
                                std::uint64_t max_records = 0);
+
+/// Builds a workload that replays the text trace at `path`: one thread per
+/// distinct thread-id, sorted by id, each replaying its own lines in order
+/// with a 2 ns compute gap between accesses, placed on core (thread-id mod
+/// cores).  The text converts line by line into an unlinked temporary
+/// .altr that replays through TraceReplayGenerator, so memory use is one
+/// block per thread, never the whole trace.  Throws on an unreadable,
+/// malformed or empty trace.
+workload::WorkloadSpec load_trace_workload(const std::string& path,
+                                           const SystemConfig& config);
 
 }  // namespace allarm::trace

@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "common/config.hh"
+#include "numa/os.hh"
+
 namespace allarm::trace {
 
 namespace {
@@ -80,7 +83,17 @@ TraceMeta decode_meta(const void* data, std::size_t size) {
   in.pos += name_len;
   meta.seed = get_u64(in);
   meta.directory_mode = get_u32(in);
+  if (meta.directory_mode >
+      static_cast<std::uint32_t>(DirectoryMode::kRegion)) {
+    throw std::runtime_error("trace meta names unknown directory mode " +
+                             std::to_string(meta.directory_mode));
+  }
   meta.alloc_policy = get_u32(in);
+  if (meta.alloc_policy >
+      static_cast<std::uint32_t>(numa::AllocPolicy::kInterleave)) {
+    throw std::runtime_error("trace meta names unknown allocation policy " +
+                             std::to_string(meta.alloc_policy));
+  }
 
   const std::uint32_t thread_count = get_u32(in);
   meta.threads.reserve(thread_count);

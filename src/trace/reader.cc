@@ -87,7 +87,11 @@ TraceReader::TraceReader(const std::string& path)
   if (meta_header.payload_crc != crc32c(meta_payload)) {
     bad_trace(path, "meta block payload checksum mismatch");
   }
-  meta_ = decode_meta(meta_payload.data(), meta_payload.size());
+  try {
+    meta_ = decode_meta(meta_payload.data(), meta_payload.size());
+  } catch (const std::exception& e) {
+    bad_trace(path, e.what());
+  }
   if (meta_.threads.size() != footer.thread_count) {
     bad_trace(path, "thread table does not match the footer");
   }

@@ -5,7 +5,7 @@
 // meta block, footer index and footer to finish().  Peak resident memory
 // is one open block per thread plus the index — never the trace.
 //
-// Usage (capture, core::System drives the first three steps):
+// Usage (in a capture, trace::record_workload drives the first three steps):
 //
 //   TraceWriter writer(path);
 //   writer.meta().workload = ...;          // any time before finish()

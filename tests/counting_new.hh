@@ -35,15 +35,24 @@ std::atomic<std::uint64_t> g_new_bytes{0};
 #endif
 
 #if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
+// Not inlined: a caller then sees only operator new paired with operator
+// delete, never the malloc/free inside them, which GCC reports as a
+// mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 #endif  // ALLARM_COUNTING_NEW

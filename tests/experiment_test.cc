@@ -1,6 +1,6 @@
 // Tests for the experiment harness and the remaining protocol edges:
 // queued writeback processing, writeback-buffer probe supply, message
-// naming, and the run_single harness the examples rely on.
+// naming, and run_request, the one way the tools run a job.
 #include <gtest/gtest.h>
 
 #include "coherence/messages.hh"
@@ -31,15 +31,16 @@ TEST(Messages, NamesAndSizes) {
   EXPECT_EQ(coherence::size_of(MsgKind::kComplete, config), 8u);
 }
 
-TEST(Experiment, RunSingleIsSelfConsistentAcrossModes) {
-  SystemConfig config = small_config();
+TEST(Experiment, RunRequestIsSelfConsistentAcrossModes) {
   std::vector<workload::Access> script;
   for (std::uint32_t i = 0; i < 64; ++i) script.push_back(load(priv(0, i)));
-  const auto spec = make_scripted({{0, script}});
-  const auto base =
-      core::run_single(config, DirectoryMode::kBaseline, spec, 11);
-  const auto allarm =
-      core::run_single(config, DirectoryMode::kAllarm, spec, 11);
+  core::RunRequest request;
+  request.config = small_config();
+  request.spec = make_scripted({{0, script}});
+  request.seed = 11;
+  const core::RunResult base = core::run_request(request);
+  request.mode = DirectoryMode::kAllarm;
+  const core::RunResult allarm = core::run_request(request);
   EXPECT_GT(base.runtime, 0u);
   EXPECT_GT(allarm.runtime, 0u);
   EXPECT_GT(base.stats.get("pf.inserts"), 0.0);
@@ -108,9 +109,9 @@ TEST(Protocol, RuntimeScalesWithAccessCount) {
     return make_scripted({{0, script}});
   };
   const auto small_run =
-      core::run_single(config, DirectoryMode::kBaseline, make(100), 3);
+      run_scripted(config, DirectoryMode::kBaseline, make(100), 3).result;
   const auto big_run =
-      core::run_single(config, DirectoryMode::kBaseline, make(400), 3);
+      run_scripted(config, DirectoryMode::kBaseline, make(400), 3).result;
   EXPECT_GT(big_run.runtime, 2 * small_run.runtime);
 }
 

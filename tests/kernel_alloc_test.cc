@@ -50,7 +50,6 @@ TEST(KernelAllocations, SteadyStateSchedulesWithoutHeapAllocations) {
   }
   eq.run(10000);
 
-  const std::uint64_t fallbacks_before = Event::heap_fallbacks();
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
 
   // Measured steady state: tens of thousands of schedule/execute cycles.
@@ -60,8 +59,6 @@ TEST(KernelAllocations, SteadyStateSchedulesWithoutHeapAllocations) {
   EXPECT_EQ(executed, 10000u);
   EXPECT_EQ(news_after - news_before, 0u)
       << "event kernel allocated on the steady-state path";
-  EXPECT_EQ(Event::heap_fallbacks(), fallbacks_before)
-      << "an inline-sized closure fell back to the heap";
 }
 
 TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
@@ -124,8 +121,9 @@ TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {
 
 TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {
   // End-to-end: every closure the simulator schedules across a whole
-  // multithreaded run must fit sim::Event's inline buffer.
-  const std::uint64_t fallbacks_before = Event::heap_fallbacks();
+  // multithreaded run, migrations included, fits sim::Event's inline
+  // buffer by construction (Event::emplace rejects any other at compile
+  // time), so the run builds and executes events.
   SystemConfig config;
   const workload::WorkloadSpec spec =
       workload::make_benchmark("ocean-cont", config, 500);
@@ -135,8 +133,6 @@ TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {
   options.migration_interval = ticks_from_ns(5000.0);
   system.run(spec, options);
   EXPECT_GT(system.events().events_executed(), 0u);
-  EXPECT_EQ(Event::heap_fallbacks(), fallbacks_before)
-      << "a simulator closure no longer fits Event::kInlineBytes";
 }
 
 TEST(KernelAllocations, TableISystemAllocatesAtMostTwoMiB) {

@@ -182,9 +182,9 @@ TEST_P(CrossModeProperty, AllarmInsertsOnlyOnRemoteMisses) {
   SystemConfig config;
   const auto spec = workload::make_benchmark(GetParam(), config, 600);
   const auto allarm =
-      core::run_single(config, DirectoryMode::kAllarm, spec, 41);
+      test::run_scripted(config, DirectoryMode::kAllarm, spec, 41).result;
   const auto base =
-      core::run_single(config, DirectoryMode::kBaseline, spec, 41);
+      test::run_scripted(config, DirectoryMode::kBaseline, spec, 41).result;
   EXPECT_LE(allarm.stats.get("pf.inserts"),
             allarm.stats.get("dir.remote_requests") + 32.0);
   EXPECT_LE(base.stats.get("pf.inserts"),
@@ -194,7 +194,8 @@ TEST_P(CrossModeProperty, AllarmInsertsOnlyOnRemoteMisses) {
 TEST_P(CrossModeProperty, HiddenFractionIsAValidProbability) {
   SystemConfig config;
   const auto spec = workload::make_benchmark(GetParam(), config, 600);
-  const auto r = core::run_single(config, DirectoryMode::kAllarm, spec, 43);
+  const auto r =
+      test::run_scripted(config, DirectoryMode::kAllarm, spec, 43).result;
   const double hidden = r.stats.get("dir.probe_hidden_fraction");
   EXPECT_GE(hidden, 0.0);
   EXPECT_LE(hidden, 1.0);

@@ -268,7 +268,9 @@ TEST(Spool, AdmissionFaultsNeverLeaveTheReplacedRunsStateWord) {
                 std::string::npos)
           << rule;
     }
-    if (std::string(site) == "fileio.fsync") EXPECT_GT(throws, 0);
+    if (std::string(site) == "fileio.fsync") {
+      EXPECT_GT(throws, 0);
+    }
   }
 }
 

@@ -234,13 +234,20 @@ Tick draw_delay(Rng& rng, Tick now) {
 /// events as (tick, id), ids numbered in scheduling order.
 template <typename Queue>
 std::vector<std::pair<Tick, std::uint64_t>> run_schedule(std::uint64_t seed) {
-  Queue queue;
-  std::vector<std::pair<Tick, std::uint64_t>> fired;
-  std::uint64_t next_id = 0;
-  int budget = 200;  // Events actions may still add.
-  std::function<void(Tick)> add = [&](Tick when) {
-    const std::uint64_t id = next_id++;
-    queue.schedule_at(when, [&, id] {
+  // The schedule's state lives here; each event captures a pointer to it
+  // plus its own id, which fits sim::Event's inline buffer.
+  struct Schedule {
+    Queue queue;
+    std::vector<std::pair<Tick, std::uint64_t>> fired;
+    std::uint64_t seed = 0;
+    std::uint64_t next_id = 0;
+    int budget = 200;  // Events actions may still add.
+
+    void add(Tick when) {
+      const std::uint64_t id = next_id++;
+      queue.schedule_at(when, [self = this, id] { self->fire(id); });
+    }
+    void fire(std::uint64_t id) {
       fired.emplace_back(queue.now(), id);
       // Children depend only on the event's id, so both queues see the
       // same program as long as they agree on the order so far.
@@ -249,20 +256,21 @@ std::vector<std::pair<Tick, std::uint64_t>> run_schedule(std::uint64_t seed) {
         --budget;
         add(queue.now() + draw_delay(rng, queue.now()));
       }
-    });
-  };
+    }
+  } s;
+  s.seed = seed;
   Rng rng(seed);
   for (int round = 0; round < 4; ++round) {
     for (std::uint64_t n = 1 + rng.below(16); n > 0; --n) {
-      add(queue.now() + draw_delay(rng, queue.now()));
+      s.add(s.queue.now() + draw_delay(rng, s.queue.now()));
     }
     // Stop after a drawn number of events, mid-schedule, so the next
     // round's outside adds land beside a partly drained calendar.
-    for (std::uint64_t n = rng.below(24); n > 0 && queue.run_one(); --n) {
+    for (std::uint64_t n = rng.below(24); n > 0 && s.queue.run_one(); --n) {
     }
   }
-  queue.run();
-  return fired;
+  s.queue.run();
+  return s.fired;
 }
 
 TEST(EventQueue, MatchesReferenceOrderOnRandomSchedules) {
@@ -276,26 +284,15 @@ TEST(EventQueue, MatchesReferenceOrderOnRandomSchedules) {
 
 TEST(Event, HoldsNonTriviallyCopyableCallables) {
   // A std::string capture exercises the non-trivial relocate path.
-  std::string payload = "the quick brown fox jumps over the lazy dog";
-  Event ev([payload, out = std::string()]() mutable { out = payload; });
+  std::string out;
+  Event ev([payload = std::string("the quick brown fox jumps over the lazy "
+                                  "dog"),
+            &out] { out = payload; });
   Event moved = std::move(ev);
   EXPECT_FALSE(static_cast<bool>(ev));
   EXPECT_TRUE(static_cast<bool>(moved));
   moved();
-}
-
-TEST(Event, OversizedCallablesFallBackToHeapAndAreCounted) {
-  const std::uint64_t before = Event::heap_fallbacks();
-  struct Big {
-    char bytes[128];
-  };
-  Big big{};
-  big.bytes[0] = 42;
-  int out = 0;
-  Event ev([big, &out] { out = big.bytes[0]; });
-  EXPECT_EQ(Event::heap_fallbacks(), before + 1);
-  ev();
-  EXPECT_EQ(out, 42);
+  EXPECT_EQ(out, "the quick brown fox jumps over the lazy dog");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@ namespace {
 using test::load;
 using test::make_scripted;
 using test::priv;
+using test::run_scripted;
 
 core::RunResult run_bench(const std::string& name, DirectoryMode mode,
                           std::uint64_t accesses = 1500,
@@ -20,7 +21,7 @@ core::RunResult run_bench(const std::string& name, DirectoryMode mode,
   SystemConfig config;
   const workload::WorkloadSpec spec =
       workload::make_benchmark(name, config, accesses);
-  return core::run_single(config, mode, spec, seed);
+  return run_scripted(config, mode, spec, seed).result;
 }
 
 TEST(System, RunsOceanToCompletionUnderBothModes) {
@@ -48,8 +49,8 @@ TEST(System, DeterministicAcrossIdenticalRuns) {
 TEST(System, SeedChangesOutcomeSlightly) {
   SystemConfig config;
   const auto spec = workload::make_benchmark("dedup", config, 1500);
-  const auto a = core::run_single(config, DirectoryMode::kBaseline, spec, 1);
-  const auto b = core::run_single(config, DirectoryMode::kBaseline, spec, 2);
+  const auto a = run_scripted(config, DirectoryMode::kBaseline, spec, 1).result;
+  const auto b = run_scripted(config, DirectoryMode::kBaseline, spec, 2).result;
   EXPECT_NE(a.runtime, b.runtime);
 }
 
@@ -116,7 +117,7 @@ TEST(System, MultiprocessWorkloadRuns) {
   SystemConfig config;
   const auto spec = workload::make_benchmark("cholesky-2p", config, 2000);
   for (auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm}) {
-    const auto r = core::run_single(config, mode, spec, 5);
+    const auto r = run_scripted(config, mode, spec, 5).result;
     EXPECT_EQ(r.thread_finish.size(), 2u);
     EXPECT_EQ(r.stats.get("sanity.anomalies"), 0.0);
   }
@@ -128,11 +129,11 @@ TEST(System, InterleavedAllocationDefeatsAllarm) {
   SystemConfig config;
   const auto spec = workload::make_benchmark("ocean-cont", config, 1200);
   const auto first_touch =
-      core::run_single(config, DirectoryMode::kAllarm, spec, 7,
-                       numa::AllocPolicy::kFirstTouch);
+      run_scripted(config, DirectoryMode::kAllarm, spec, 7,
+                   numa::AllocPolicy::kFirstTouch).result;
   const auto interleaved =
-      core::run_single(config, DirectoryMode::kAllarm, spec, 7,
-                       numa::AllocPolicy::kInterleave);
+      run_scripted(config, DirectoryMode::kAllarm, spec, 7,
+                   numa::AllocPolicy::kInterleave).result;
   EXPECT_GT(first_touch.stats.get("dir.local_no_alloc"),
             4 * interleaved.stats.get("dir.local_no_alloc"));
   EXPECT_GT(first_touch.stats.get("dir.local_fraction"),
@@ -157,9 +158,10 @@ TEST(System, SmallerProbeFiltersEvictMore) {
   SystemConfig big, small;
   small.probe_filter_coverage_bytes = 64 * 1024;
   const auto spec = workload::make_benchmark("barnes", big, 1500);
-  const auto r_big = core::run_single(big, DirectoryMode::kBaseline, spec, 9);
+  const auto r_big =
+      run_scripted(big, DirectoryMode::kBaseline, spec, 9).result;
   const auto r_small =
-      core::run_single(small, DirectoryMode::kBaseline, spec, 9);
+      run_scripted(small, DirectoryMode::kBaseline, spec, 9).result;
   EXPECT_GT(r_small.stats.get("dir.pf_evictions"),
             r_big.stats.get("dir.pf_evictions"));
 }

@@ -83,14 +83,14 @@ struct RanSystem {
   core::RunResult result;
 };
 
-inline RanSystem run_scripted(const SystemConfig& base_config,
-                              DirectoryMode mode,
-                              const workload::WorkloadSpec& spec,
-                              std::uint64_t seed = 1) {
+inline RanSystem run_scripted(
+    const SystemConfig& base_config, DirectoryMode mode,
+    const workload::WorkloadSpec& spec, std::uint64_t seed = 1,
+    numa::AllocPolicy policy = numa::AllocPolicy::kFirstTouch) {
   SystemConfig config = base_config;
   config.directory_mode = mode;
   RanSystem ran;
-  ran.system = std::make_unique<core::System>(config);
+  ran.system = std::make_unique<core::System>(config, policy);
   core::RunOptions options;
   options.seed = seed;
   ran.result = ran.system->run(spec, options);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fileio.hh"
@@ -404,6 +405,41 @@ TEST(TraceFormat, VerifyScansEveryBlockWithoutStoppingAtTheFirstBadOne) {
   // Only real I/O errors throw; a missing file is one.
   std::remove(path.c_str());
   EXPECT_THROW(verify_trace(path), std::runtime_error);
+}
+
+TEST(TraceFormat, RefusesAnUnknownModeOrPolicyNamingTheFile) {
+  // A meta block whose checksums hold can still name a directory mode or
+  // an allocation policy that does not exist: opening refuses it with the
+  // file's path, and verify reports the framing as damaged.
+  const std::string path = temp_path("unknown-mode");
+  const std::pair<std::uint32_t, std::uint32_t> crafted[] = {
+      {7, 0}, {0, 9}, {7, 9}};
+  for (const auto& [mode, policy] : crafted) {
+    SCOPED_TRACE("mode " + std::to_string(mode) + ", policy " +
+                 std::to_string(policy));
+    {
+      TraceWriter writer(path);
+      writer.meta().workload = "crafted";
+      writer.meta().directory_mode = mode;
+      writer.meta().alloc_policy = policy;
+      TraceThreadMeta t;
+      t.accesses = 1;
+      writer.record(writer.add_thread(t),
+                    workload::Access{0x1000, AccessType::kLoad}, 0);
+      writer.finish();
+    }
+    try {
+      TraceReader reader(path);
+      ADD_FAILURE() << "the crafted trace opened";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    const VerifyReport report = verify_trace(path);
+    EXPECT_FALSE(report.framing_ok);
+    EXPECT_FALSE(report.ok());
+  }
+  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------- TraceReplayGenerator ----

@@ -1,7 +1,7 @@
 // Unit and integration tests for trace-file workloads: the text format
 // (trace::TextTraceScanner's grammar, streamed through the binary .altr
-// subsystem by load_trace_workload) and capture/replay round trips
-// through core::System.
+// subsystem by trace::load_trace_workload) and capture/replay round trips
+// through core::run_request.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,11 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "common/fileio.hh"
 #include "core/experiment.hh"
+#include "test_util.hh"
 #include "trace/convert.hh"
 #include "trace/reader.hh"
 #include "workload/profiles.hh"
-#include "workload/trace.hh"
 
 namespace allarm::workload {
 namespace {
@@ -40,7 +41,7 @@ WorkloadSpec load_text(const std::string& text, const SystemConfig& config) {
     std::string path;
     ~Cleanup() { std::remove(path.c_str()); }
   } cleanup{path};
-  return load_trace_workload(path, config);
+  return trace::load_trace_workload(path, config);
 }
 
 TEST(TraceParse, ParsesWellFormedLines) {
@@ -167,7 +168,7 @@ TEST(TraceWorkload, RunsEndToEndUnderBothModes) {
   SystemConfig config;
   const auto spec = load_text(trace.str(), config);
   for (auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm}) {
-    const auto r = core::run_single(config, mode, spec, 3);
+    const auto r = test::run_scripted(config, mode, spec, 3).result;
     EXPECT_GT(r.runtime, 0u);
     EXPECT_EQ(r.stats.get("sanity.upgrade_without_line"), 0.0);
     EXPECT_EQ(r.stats.get("sanity.wbb_collisions"), 0.0);
@@ -200,8 +201,10 @@ TEST(TraceWorkload, ThreadOrderDoesNotDependOnAppearance) {
     EXPECT_EQ(a.threads[i].accesses, 40u);
     EXPECT_EQ(b.threads[i].accesses, 40u);
   }
-  const auto ra = core::run_single(config, DirectoryMode::kBaseline, a, 5);
-  const auto rb = core::run_single(config, DirectoryMode::kBaseline, b, 5);
+  const auto ra =
+      test::run_scripted(config, DirectoryMode::kBaseline, a, 5).result;
+  const auto rb =
+      test::run_scripted(config, DirectoryMode::kBaseline, b, 5).result;
   EXPECT_EQ(ra.runtime, rb.runtime);
   EXPECT_EQ(ra.stats.values(), rb.stats.values());
 }
@@ -310,6 +313,32 @@ TEST(TraceCapture, ReplayReproducesAllarmAndInterleavePolicy) {
   std::remove(capturing.capture_trace.c_str());
 }
 
+TEST(TraceCapture, CapturingAReplayedRunReproducesTheTraceBytes) {
+  // Capture wraps whichever workload runs, a replayed one too: capturing
+  // the replay of capture A writes a trace B identical to A, byte for byte.
+  for (const auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm,
+                          DirectoryMode::kRegion}) {
+    SCOPED_TRACE(to_string(mode));
+    core::RunRequest capturing;
+    capturing.mode = mode;
+    capturing.spec = make_benchmark("dedup", capturing.config, 400);
+    capturing.seed = 9;
+    capturing.capture_trace = capture_path("replayed-a");
+    const core::RunResult a = core::run_request(capturing);
+
+    core::RunRequest recapturing = capturing;
+    recapturing.replay_trace = capturing.capture_trace;
+    recapturing.capture_trace = capture_path("replayed-b");
+    const core::RunResult b = core::run_request(recapturing);
+
+    expect_identical(a, b);
+    EXPECT_EQ(read_file(capturing.capture_trace),
+              read_file(recapturing.capture_trace));
+    std::remove(capturing.capture_trace.c_str());
+    std::remove(recapturing.capture_trace.c_str());
+  }
+}
+
 TEST(TraceWorkload, AllarmStillSkipsLocalAllocations) {
   std::ostringstream trace;
   for (int i = 0; i < 100; ++i) {
@@ -318,7 +347,8 @@ TEST(TraceWorkload, AllarmStillSkipsLocalAllocations) {
   }
   SystemConfig config;
   const auto spec = load_text(trace.str(), config);
-  const auto r = core::run_single(config, DirectoryMode::kAllarm, spec, 3);
+  const auto r =
+      test::run_scripted(config, DirectoryMode::kAllarm, spec, 3).result;
   EXPECT_EQ(r.stats.get("pf.inserts"), 0.0);
   EXPECT_EQ(r.stats.get("dir.local_no_alloc"), 100.0);
 }
