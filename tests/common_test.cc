@@ -114,6 +114,19 @@ TEST(Config, CapsAssociativityAt255Ways) {
 TEST(Config, ModeNames) {
   EXPECT_EQ(to_string(DirectoryMode::kBaseline), "baseline");
   EXPECT_EQ(to_string(DirectoryMode::kAllarm), "allarm");
+  for (const DirectoryMode mode : {DirectoryMode::kBaseline,
+                                   DirectoryMode::kAllarm,
+                                   DirectoryMode::kRegion}) {
+    DirectoryMode parsed = DirectoryMode::kBaseline;
+    EXPECT_TRUE(from_string(to_string(mode), parsed));
+    EXPECT_EQ(parsed, mode);
+  }
+  // Anything else is refused and leaves the mode untouched.
+  for (const char* name : {"bogus", "", "Allarm", "unknown"}) {
+    DirectoryMode parsed = DirectoryMode::kRegion;
+    EXPECT_FALSE(from_string(name, parsed)) << name;
+    EXPECT_EQ(parsed, DirectoryMode::kRegion);
+  }
 }
 
 // ------------------------------------------------------------------- rng ----

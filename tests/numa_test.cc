@@ -100,6 +100,23 @@ TEST(Os, InterleavePolicySpreadsPages) {
   EXPECT_EQ(homes.size(), 16u);  // All from toucher 0, spread everywhere.
 }
 
+TEST(Os, PolicyNames) {
+  EXPECT_EQ(to_string(AllocPolicy::kFirstTouch), "first-touch");
+  EXPECT_EQ(to_string(AllocPolicy::kInterleave), "interleave");
+  for (const AllocPolicy policy :
+       {AllocPolicy::kFirstTouch, AllocPolicy::kInterleave}) {
+    AllocPolicy parsed = AllocPolicy::kFirstTouch;
+    EXPECT_TRUE(from_string(to_string(policy), parsed));
+    EXPECT_EQ(parsed, policy);
+  }
+  // Anything else is refused and leaves the policy untouched.
+  for (const char* name : {"bogus", "", "first_touch", "unknown"}) {
+    AllocPolicy parsed = AllocPolicy::kInterleave;
+    EXPECT_FALSE(from_string(name, parsed)) << name;
+    EXPECT_EQ(parsed, AllocPolicy::kInterleave);
+  }
+}
+
 TEST(Os, TranslateWithoutAllocating) {
   Os os(table1(), AllocPolicy::kFirstTouch);
   EXPECT_FALSE(os.translate(0, 0x7000).has_value());
